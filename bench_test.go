@@ -195,7 +195,7 @@ func BenchmarkKMeansSignature(b *testing.B) {
 		pts[i] = rng.NormalVec(4, 0, 1)
 	}
 	bg := bag.New(0, pts)
-	builder := NewKMeansBuilder(8, 1)
+	builder := KMeansFactory(8)(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := builder.Build(bg); err != nil {
@@ -371,7 +371,7 @@ func BenchmarkDetectorPushMixedSupport(b *testing.B) {
 			rng := randx.New(6)
 			det, err := NewDetector(Config{
 				Tau: 8, TauPrime: 8,
-				Builder:           NewKMeansBuilder(16, 11),
+				Builder:           KMeansFactory(16)(11),
 				Ground:            emd.Manhattan,
 				Bootstrap:         BootstrapConfig{Replicates: 100, Workers: 1},
 				EMDCostCacheSlots: tc.slots,
@@ -426,12 +426,11 @@ func ablationSequence(seed int64, n, size int) bag.Sequence {
 func BenchmarkAblationScores(b *testing.B) {
 	seq := ablationSequence(7, 30, 200)
 	for _, tc := range []struct {
-		name  string
-		score core.ScoreType
-	}{{"KL", core.ScoreKL}, {"LR", core.ScoreLR}} {
+		name, stat string
+	}{{"KL", "kl"}, {"LR", "lr"}} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := Config{
-				Tau: 5, TauPrime: 5, Score: tc.score,
+				Tau: 5, TauPrime: 5, Statistic: tc.stat,
 				Builder:   NewHistogramBuilder(-5, 9, 40),
 				Bootstrap: BootstrapConfig{Replicates: 500},
 			}
@@ -465,7 +464,7 @@ func BenchmarkAblationSignatureK(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := Config{
 					Tau: 5, TauPrime: 5,
-					Builder:   NewKMeansBuilder(k, int64(i)),
+					Builder:   KMeansFactory(k)(int64(i)),
 					Bootstrap: BootstrapConfig{Replicates: 300},
 				}
 				if _, err := Run(cfg, seq); err != nil {
@@ -625,8 +624,7 @@ func BenchmarkPairwiseEMD20(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		builder := NewKMeansBuilder(8, int64(i))
-		if _, err := core.PairwiseEMD(builder, seq, nil, false); err != nil {
+		if _, err := core.Pairwise(seq, core.WithPairBuilderFactory(KMeansFactory(8), int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -636,8 +634,8 @@ func BenchmarkPairwiseEMD20(b *testing.B) {
 
 // flatPairwiseEMD is the seed-era flat implementation (one channel job
 // per pair, [][]float64 result), kept in the bench file as the baseline
-// the tiled engine is measured against. It matches what core.PairwiseEMD
-// was before the tiled rewrite; BENCH_PR3.json records the comparison.
+// the tiled engine is measured against. It matches what the pairwise
+// matrix was before the tiled rewrite; BENCH_PR3.json records the comparison.
 func flatPairwiseEMD(sigs []signature.Signature, ground emd.Ground) ([][]float64, error) {
 	n := len(sigs)
 	m := make([][]float64, n)

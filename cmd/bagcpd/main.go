@@ -329,8 +329,8 @@ func (e *streamsError) Error() string {
 func (e *streamsError) Unwrap() error { return e.Err }
 
 // readJSONLStreams reads multiplexed jsonl ({"stream": id, "points":
-// [...]}), assigns each stream its own bag clock in line order, and
-// feeds the engine in batches. emit sees one call per inspection point,
+// [...]}) and feeds the engine in batches (the engine numbers each
+// stream's bags in line order). emit sees one call per inspection point,
 // in input order within the batch. A per-bag failure aborts the run
 // with a *streamsError naming the failing stream and counting every
 // skipped bag per stream; the other streams' results from the failing
@@ -338,7 +338,6 @@ func (e *streamsError) Unwrap() error { return e.Err }
 func readJSONLStreams(r io.Reader, eng *repro.Engine, batchSize int, emit func(string, *repro.Point)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	counts := make(map[string]int)
 	buf := make([]repro.StreamBag, 0, batchSize)
 	flush := func() error {
 		if len(buf) == 0 {
@@ -383,9 +382,7 @@ func readJSONLStreams(r io.Reader, eng *repro.Engine, batchSize int, emit func(s
 		if rec.Stream == "" {
 			return fmt.Errorf("bagcpd: line %d: missing stream id", lineNo)
 		}
-		t := counts[rec.Stream]
-		counts[rec.Stream]++
-		buf = append(buf, repro.StreamBag{StreamID: rec.Stream, Bag: repro.NewBag(t, rec.Points)})
+		buf = append(buf, repro.StreamBag{StreamID: rec.Stream, Bag: repro.NewBag(0, rec.Points)})
 		if len(buf) >= batchSize {
 			if err := flush(); err != nil {
 				return err

@@ -23,10 +23,10 @@ func main() {
 	rng := rand.New(rand.NewSource(11))
 
 	det, err := repro.NewDetector(repro.Config{
-		Tau:      5,
-		TauPrime: 3, // shorter test window: we want to react fast
-		Score:    repro.ScoreKL,
-		Builder:  repro.KMeansFactory(8)(3), // one-off seeded builder from the stream-safe factory
+		Tau:       5,
+		TauPrime:  3, // shorter test window: we want to react fast
+		Statistic: "kl",
+		Builder:   repro.KMeansFactory(8)(3), // one-off seeded builder from the stream-safe factory
 
 		Bootstrap: repro.BootstrapConfig{Replicates: 800, Alpha: 0.05},
 	})

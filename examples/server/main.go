@@ -30,7 +30,7 @@ import (
 
 const (
 	sensors = 120
-	ticks   = 40
+	steps   = 40
 	cut     = 20 // handoff tick: snapshot/kill/restore happens here
 )
 
@@ -153,9 +153,9 @@ func main() {
 			failAt[sensorID(s)] = cut + 2 + metaRNG.Intn(8)
 		}
 	}
-	tickData := make([]map[string][]float64, ticks)
+	tickData := make([]map[string][]float64, steps)
 	dataRNG := rand.New(rand.NewSource(7))
-	for tick := 0; tick < ticks; tick++ {
+	for tick := 0; tick < steps; tick++ {
 		tickData[tick] = sensorBags(dataRNG, failAt, tick)
 	}
 
@@ -165,8 +165,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	refRows := make([]map[string]*repro.Point, ticks)
-	for tick := 0; tick < ticks; tick++ {
+	refRows := make([]map[string]*repro.Point, steps)
+	for tick := 0; tick < steps; tick++ {
 		batch := make([]repro.StreamBag, sensors)
 		for s := 0; s < sensors; s++ {
 			id := sensorID(s)
@@ -189,7 +189,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("instance A up at %s — %d sensors, ticks 0..%d\n", instA.base, sensors, cut-1)
+	fmt.Printf("instance A up at %s — %d sensors, steps 0..%d\n", instA.base, sensors, cut-1)
 	for tick := 0; tick < cut; tick++ {
 		if _, err := pushTick(instA.base, tickData[tick]); err != nil {
 			log.Fatal(err)
@@ -230,13 +230,13 @@ func main() {
 	if resp.StatusCode != http.StatusOK {
 		log.Fatalf("restore: %s: %s", resp.Status, msg)
 	}
-	fmt.Printf("instance B up at %s — restored, ticks %d..%d\n", instB.base, cut, ticks-1)
+	fmt.Printf("instance B up at %s — restored, steps %d..%d\n", instB.base, cut, steps-1)
 
 	// Second half through B; every scored row must match the reference
 	// bit for bit.
 	mismatches, compared := 0, 0
 	firstAlarm := make(map[string]int)
-	for tick := cut; tick < ticks; tick++ {
+	for tick := cut; tick < steps; tick++ {
 		rows, err := pushTick(instB.base, tickData[tick])
 		if err != nil {
 			log.Fatal(err)

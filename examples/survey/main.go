@@ -25,9 +25,9 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 
 	det, err := repro.NewDetector(repro.Config{
-		Tau:      4,
-		TauPrime: 4,
-		Score:    repro.ScoreKL,
+		Tau:       4,
+		TauPrime:  4,
+		Statistic: "kl",
 		// 2-D answers → k-means signatures with 6 clusters per wave (a
 		// one-off seeded builder from the stream-safe factory).
 		Builder:   repro.KMeansFactory(6)(1),

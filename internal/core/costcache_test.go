@@ -64,10 +64,10 @@ func TestPairwiseCostCacheBitIdentity(t *testing.T) {
 	const n = 19
 	rng := randx.New(47)
 	seq := gaussianSeq(rng, n, n/2, 60, 0, 4)
-	builder := signature.NewHistogramBuilder(-8, 10, 32)
+	factory := signature.HistogramFactory(-8, 10, 32)
 
 	ref, err := Pairwise(seq,
-		WithPairBuilder(builder),
+		WithPairBuilderFactory(factory, 0),
 		WithPairGround(emd.Manhattan), // force the simplex on 1-D histograms
 		WithPairEMDCostCache(-1),      // cache off
 		WithPairWorkers(1),
@@ -78,7 +78,7 @@ func TestPairwiseCostCacheBitIdentity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, tile := range []int{1, 6, n} {
 			m, err := Pairwise(seq,
-				WithPairBuilder(builder),
+				WithPairBuilderFactory(factory, 0),
 				WithPairGround(emd.Manhattan),
 				WithPairEMDCostCache(0), // default cache on
 				WithPairWorkers(workers),

@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"time"
 
@@ -28,50 +27,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/signature"
 )
-
-// ScoreType selects which change-point score the detector computes.
-//
-// It predates the named statistic registry (see Statistic) and is kept
-// as a bit-identical shim: Config.Score = ScoreKL/ScoreLR resolves to
-// the registered "kl"/"lr" statistic, and a detector configured either
-// way produces the same bits. New code should prefer Config.Statistic
-// (or repro.WithStatistic) with a registry name.
-type ScoreType int
-
-const (
-	// ScoreKL is the symmetrized-KL score (Eq. 17): conservative and
-	// robust, less sensitive to minor changes. Statistic name "kl".
-	ScoreKL ScoreType = iota
-	// ScoreLR is the log-likelihood-ratio score (Eq. 16): sensitive to
-	// small changes but noisier. Requires TauPrime >= 2. Statistic
-	// name "lr".
-	ScoreLR
-)
-
-// String implements fmt.Stringer.
-func (s ScoreType) String() string {
-	switch s {
-	case ScoreKL:
-		return "KL"
-	case ScoreLR:
-		return "LR"
-	default:
-		return fmt.Sprintf("ScoreType(%d)", int(s))
-	}
-}
-
-// statisticName returns the registry name the enum value resolves to,
-// or "" for values outside the enum.
-func (s ScoreType) statisticName() string {
-	switch s {
-	case ScoreKL:
-		return "kl"
-	case ScoreLR:
-		return "lr"
-	default:
-		return ""
-	}
-}
 
 // Weighting selects the base weights γ of the window signatures.
 type Weighting int
@@ -91,18 +46,12 @@ type Config struct {
 	// inspection point). Required, >= 1.
 	Tau int
 	// TauPrime is the test window length τ′ (number of bags from the
-	// inspection point onward). Required, >= 1 (>= 2 for ScoreLR).
+	// inspection point onward). Required, >= 1 (>= 2 for "lr").
 	TauPrime int
-	// Score selects the change-point score (default ScoreKL). It is the
-	// historical enum shim over the statistic registry; leave it zero
-	// and set Statistic to select a statistic by name instead. Setting
-	// both to disagreeing values is a validation error.
-	Score ScoreType
 	// Statistic selects the change-point score by registry name ("kl",
 	// "lr", "clr", or any name passed to RegisterStatistic). Empty means
-	// "derive from Score", preserving the pre-registry configuration
-	// surface bit-for-bit. The resolved NAME — see StatisticName — is
-	// what joins the engine snapshot fingerprint.
+	// "kl", the symmetrized-KL score of Eq. 17. The resolved NAME — see
+	// StatisticName — is what joins the engine snapshot fingerprint.
 	Statistic string
 	// Weighting selects the base weights (default WeightUniform, which
 	// is what the paper uses in all of §5).
@@ -114,11 +63,12 @@ type Config struct {
 	Ground emd.Ground
 	// Bootstrap configures the confidence intervals (T replicates,
 	// significance level α, and worker parallelism). A zero Workers field
-	// is promoted to GOMAXPROCS: the detector's score functions are pure,
-	// so its bootstrap replicates always parallelize safely, and the
-	// sharded RNG streams make the result identical for a fixed Seed
-	// regardless of the worker count. Set Workers to 1 to force
-	// single-threaded evaluation.
+	// evaluates the replicates serially on the pushing goroutine, with no
+	// per-inspection goroutines or allocations. Set Workers >= 2 to fan
+	// replicates across goroutines: the detector's score functions are
+	// pure, so they parallelize safely, and the sharded RNG streams make
+	// the result identical for a fixed Seed regardless of the worker
+	// count.
 	Bootstrap bootstrap.Config
 	// LogFloor clamps distances before taking logs; 0 selects
 	// infoest.DefaultFloor.
@@ -160,26 +110,19 @@ type Config struct {
 }
 
 // StatisticName resolves which registered statistic the config selects:
-// Statistic when set, otherwise the name the Score enum shims to. The
-// result is the stable identity that joins the engine snapshot
-// fingerprint; "" means the config is invalid (an out-of-enum Score).
+// Statistic when set, otherwise "kl". The result is the stable identity
+// that joins the engine snapshot fingerprint.
 func (c Config) StatisticName() string {
 	if c.Statistic != "" {
 		return c.Statistic
 	}
-	return c.Score.statisticName()
+	return "kl"
 }
 
-// statistic resolves the config's Statistic/Score selection against the
+// statistic resolves the config's Statistic selection against the
 // registry, with the same error texts validateCommon promises.
 func (c Config) statistic() (Statistic, error) {
-	if c.Statistic != "" && c.Score != ScoreKL && c.Score.statisticName() != c.Statistic {
-		return nil, fmt.Errorf("core: Config sets both Statistic=%q and Score=%v; they disagree — set one", c.Statistic, c.Score)
-	}
 	name := c.StatisticName()
-	if name == "" {
-		return nil, fmt.Errorf("core: unknown score type %d", c.Score)
-	}
 	stat, ok := LookupStatistic(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown statistic %q (registered: %s)", name, strings.Join(StatisticNames(), ", "))
@@ -265,9 +208,6 @@ type Detector struct {
 func New(cfg Config) (*Detector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Bootstrap.Workers == 0 {
-		cfg.Bootstrap.Workers = runtime.GOMAXPROCS(0)
 	}
 	solverOpts := []emd.SolverOption{emd.WithLargeThreshold(cfg.EMDLargeK)}
 	if cfg.EMDCostCacheSlots >= 0 {
@@ -582,28 +522,4 @@ func Scores(points []Point) []float64 {
 		out[i] = p.Score
 	}
 	return out
-}
-
-// PairwiseEMD builds signatures for every bag of seq and returns the full
-// symmetric EMD matrix between them (used by the Fig. 6 EMD heatmaps and
-// the MDS embeddings). Signatures are normalized unless rawMass is true.
-//
-// It is a thin shim over the tiled engine (Pairwise) preserving the
-// seed-era surface and output bit-for-bit: signature construction stays
-// sequential because a caller-supplied Builder may hold state (a shared
-// RNG for k-means seeding) whose draw order is part of the
-// reproducibility contract. Callers who can provide a BuilderFactory
-// should use Pairwise with WithPairBuilderFactory instead, which builds
-// signatures in parallel from per-bag split seeds and supports
-// multi-host sharding via PairwiseShard/MergePairwise.
-func PairwiseEMD(builder signature.Builder, seq bag.Sequence, ground emd.Ground, rawMass bool) ([][]float64, error) {
-	m, err := Pairwise(seq,
-		WithPairBuilder(builder),
-		WithPairGround(ground),
-		WithPairRawMass(rawMass),
-	)
-	if err != nil {
-		return nil, err
-	}
-	return m.Rows(), nil
 }

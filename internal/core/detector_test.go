@@ -45,11 +45,11 @@ func histCfg() Config {
 func TestConfigValidation(t *testing.T) {
 	b := signature.NewHistogramBuilder(0, 1, 4)
 	cases := map[string]Config{
-		"tau0":     {Tau: 0, TauPrime: 5, Builder: b},
-		"tauP0":    {Tau: 5, TauPrime: 0, Builder: b},
-		"noBuild":  {Tau: 5, TauPrime: 5},
-		"lrTauP1":  {Tau: 5, TauPrime: 1, Score: ScoreLR, Builder: b},
-		"badScore": {Tau: 5, TauPrime: 5, Score: ScoreType(9), Builder: b},
+		"tau0":    {Tau: 0, TauPrime: 5, Builder: b},
+		"tauP0":   {Tau: 5, TauPrime: 0, Builder: b},
+		"noBuild": {Tau: 5, TauPrime: 5},
+		"lrTauP1": {Tau: 5, TauPrime: 1, Statistic: "lr", Builder: b},
+		"badStat": {Tau: 5, TauPrime: 5, Statistic: "nope", Builder: b},
 	}
 	for name, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -59,15 +59,6 @@ func TestConfigValidation(t *testing.T) {
 	good := Config{Tau: 5, TauPrime: 5, Builder: b}
 	if _, err := New(good); err != nil {
 		t.Errorf("good config rejected: %v", err)
-	}
-}
-
-func TestScoreTypeString(t *testing.T) {
-	if ScoreKL.String() != "KL" || ScoreLR.String() != "LR" {
-		t.Error("ScoreType strings")
-	}
-	if ScoreType(7).String() == "" {
-		t.Error("unknown score type should still render")
 	}
 }
 
@@ -141,7 +132,7 @@ func TestDetectsMeanShiftLR(t *testing.T) {
 	rng := randx.New(4)
 	seq := gaussianSeq(rng, 30, 15, 100, 0, 6)
 	cfg := histCfg()
-	cfg.Score = ScoreLR
+	cfg.Statistic = "lr"
 	points, err := Run(cfg, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +361,7 @@ func TestAlarmsAndScoresHelpers(t *testing.T) {
 func TestPairwiseEMD(t *testing.T) {
 	rng := randx.New(12)
 	seq := gaussianSeq(rng, 8, 4, 50, 0, 6)
-	m, err := PairwiseEMD(signature.NewHistogramBuilder(-10, 10, 40), seq, nil, false)
+	m, err := pairwiseRows(signature.HistogramFactory(-10, 10, 40), seq, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,12 +455,12 @@ func TestPairwiseEMDParallelDeterminism(t *testing.T) {
 	// runs (distinct cells per job; no ordering effects).
 	rng := randx.New(31)
 	seq := gaussianSeq(rng, 16, 8, 60, 0, 5)
-	builder := signature.NewHistogramBuilder(-10, 10, 30)
-	a, err := PairwiseEMD(builder, seq, nil, false)
+	factory := signature.HistogramFactory(-10, 10, 30)
+	a, err := pairwiseRows(factory, seq, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PairwiseEMD(builder, seq, nil, false)
+	b, err := pairwiseRows(factory, seq, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,17 +476,15 @@ func TestPairwiseEMDParallelDeterminism(t *testing.T) {
 func TestPairwiseEMDPropagatesGroundError(t *testing.T) {
 	rng := randx.New(32)
 	seq := gaussianSeq(rng, 6, 3, 20, 0, 1)
-	builder := signature.NewHistogramBuilder(-10, 10, 30)
 	bad := func(a, b []float64) float64 { return math.NaN() }
-	if _, err := PairwiseEMD(builder, seq, bad, false); err == nil {
+	if _, err := pairwiseRows(signature.HistogramFactory(-10, 10, 30), seq, bad, false); err == nil {
 		t.Fatal("NaN ground distance must surface as an error")
 	}
 }
 
 func TestPairwiseEMDEmptyBagError(t *testing.T) {
 	seq := bag.Sequence{bag.FromScalars(0, []float64{1}), {}}
-	builder := signature.NewHistogramBuilder(-10, 10, 30)
-	if _, err := PairwiseEMD(builder, seq, nil, false); err == nil {
+	if _, err := pairwiseRows(signature.HistogramFactory(-10, 10, 30), seq, nil, false); err == nil {
 		t.Fatal("empty bag must surface as an error")
 	}
 }

@@ -22,10 +22,10 @@ const builderSeedTag = -1
 // EngineConfig parameterizes an Engine.
 type EngineConfig struct {
 	// Template holds the per-stream detector parameters (Tau, TauPrime,
-	// Score, Weighting, Ground, Bootstrap, LogFloor, RawMass). Its
+	// Statistic, Weighting, Ground, Bootstrap, LogFloor, RawMass). Its
 	// Builder field must be nil — per-stream builders come from Factory —
-	// and its Seed field is ignored in favour of the engine Seed. A zero
-	// Bootstrap.Workers defaults to 1: the engine parallelizes across
+	// and its Seed field is ignored in favour of the engine Seed. Leave
+	// Bootstrap.Workers zero (serial): the engine parallelizes across
 	// streams, so nesting per-detector bootstrap parallelism underneath
 	// would only oversubscribe the CPUs (the bootstrap result is
 	// bit-identical either way).
@@ -148,9 +148,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Template.Bootstrap.Workers == 0 {
-		cfg.Template.Bootstrap.Workers = 1
 	}
 	return &Engine{cfg: cfg, streams: make(map[string]*Stream)}, nil
 }
@@ -457,6 +454,14 @@ type StreamResult struct {
 // later bags in this batch are skipped (their Err wraps the failure),
 // and all other streams proceed. The returned error is the first
 // per-bag error in batch order, nil if every bag succeeded.
+//
+// The engine owns each stream's bag clock: under the stream's lock,
+// batch[i].Bag.T is overwritten with the stream's count at the moment
+// the bag is pushed. An applied bag therefore carries the index it was
+// applied at, and a failed or skipped bag carries the index a retry
+// would take. Bags of a stream that is closed, or cannot be opened,
+// under the batch keep the T they came with. Concurrent batches on one
+// stream get distinct, gap-free indices in apply order.
 func (e *Engine) PushBatch(batch []StreamBag) ([]StreamResult, error) {
 	return e.PushBatchFn(batch, nil)
 }
@@ -464,7 +469,8 @@ func (e *Engine) PushBatch(batch []StreamBag) ([]StreamResult, error) {
 // PushBatchFn is PushBatch with a mutation hook: onApply (when non-nil)
 // is invoked once per SUCCESSFULLY applied bag, with the bag's batch
 // index and the engine mutation mark the applying group stamped, while
-// the stream's lock is still held. That lock makes the hook's call
+// the stream's lock is still held; batch[i].Bag.T is then the index the
+// bag was applied at. That lock makes the hook's call
 // order per stream exactly the apply order — across concurrent batches
 // too — which is what a write-ahead log needs to record a replayable
 // history (the server enqueues each applied row's oplog record here).
@@ -531,6 +537,7 @@ func (e *Engine) PushBatchFn(batch []StreamBag, onApply func(i int, mark uint64)
 		}
 		g.st.markDirtyLocked()
 		for _, i := range g.idxs {
+			batch[i].Bag.T = g.st.det.Count()
 			if failed != nil {
 				results[i].Err = fmt.Errorf("core: stream %q: bag skipped after earlier error in batch: %w", g.st.id, failed)
 				continue

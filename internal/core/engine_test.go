@@ -394,21 +394,29 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
-// badSigBuilder yields an invalid signature for one bag index, to force
-// an EMD error inside PairwiseEMD.
-type badSigBuilder struct {
-	badAt int
-	n     int
+// badSigFactory builds single-center signatures that are invalid for
+// the bag at time badAt, to force an EMD error inside Pairwise.
+func badSigFactory(badAt int) signature.BuilderFactory {
+	return func(int64) signature.Builder { return badSigBuilder{badAt} }
 }
 
-func (bb *badSigBuilder) Build(b bag.Bag) (signature.Signature, error) {
-	i := bb.n
-	bb.n++
+type badSigBuilder struct{ badAt int }
+
+func (bb badSigBuilder) Build(b bag.Bag) (signature.Signature, error) {
 	w := 1.0
-	if i == bb.badAt {
+	if b.T == bb.badAt {
 		w = -1 // invalid: Distance rejects negative weights
 	}
-	return signature.Signature{Centers: [][]float64{{float64(i), 0}}, Weights: []float64{w}}, nil
+	return signature.Signature{Centers: [][]float64{{float64(b.T), 0}}, Weights: []float64{w}}, nil
+}
+
+// pairwiseRows is the full pairwise matrix as [][]float64 rows.
+func pairwiseRows(f signature.BuilderFactory, seq bag.Sequence, ground emd.Ground, rawMass bool) ([][]float64, error) {
+	m, err := Pairwise(seq, WithPairBuilderFactory(f, 0), WithPairGround(ground), WithPairRawMass(rawMass))
+	if err != nil {
+		return nil, err
+	}
+	return m.Rows(), nil
 }
 
 // TestPairwiseEMDCancelsOnError: after the first failing pair, the
@@ -426,7 +434,7 @@ func TestPairwiseEMDCancelsOnError(t *testing.T) {
 		return emd.Euclidean(a, b)
 	})
 	// RawMass path so the single-center signatures keep weight -1.
-	_, err := PairwiseEMD(&badSigBuilder{badAt: 2}, seq, ground, true)
+	_, err := pairwiseRows(badSigFactory(2), seq, ground, true)
 	if err == nil {
 		t.Fatal("expected error from invalid signature")
 	}

@@ -27,10 +27,9 @@
 // exactly once, by exactly one worker, with a solver whose result does
 // not depend on what it solved before, so all configurations produce
 // bit-identical matrices (this is property-tested). Signature
-// construction is deterministic too: the factory path builds bag i with
-// a builder seeded by randx.SplitSeed(seed, i) regardless of worker
-// count or shard, and the legacy stateful-builder path builds
-// sequentially in bag order.
+// construction is deterministic too: bag i is built by a factory builder
+// seeded with randx.SplitSeed(seed, i) regardless of worker count or
+// shard.
 package core
 
 import (
@@ -96,8 +95,7 @@ func (m *PairwiseMatrix) At(i, j int) float64 { return m.data[i*m.n+j] }
 func (m *PairwiseMatrix) Data() []float64 { return m.data }
 
 // Rows returns an [][]float64 view of the matrix for callers that
-// predate PairwiseMatrix (mds.Embed, plot.Heatmap, the PairwiseEMD
-// shim). The rows alias the flat storage — they are views, not copies.
+// predate PairwiseMatrix (mds.Embed, plot.Heatmap). The rows alias the flat storage — they are views, not copies.
 func (m *PairwiseMatrix) Rows() [][]float64 { return m.rows }
 
 // PartialMatrix is one shard's contribution to a pairwise matrix: the
@@ -121,7 +119,6 @@ type pairwiseCfg struct {
 	workers     int
 	shardIdx    int
 	shardCnt    int
-	builder     signature.Builder
 	factory     signature.BuilderFactory
 	factorySeed int64
 	ground      emd.Ground
@@ -179,12 +176,11 @@ func WithShard(index, count int) PairwiseOpt {
 	}
 }
 
-// WithPairBuilderFactory selects the stream-safe signature path:
-// signatures are built with signature.BuildSequenceParallel, bag i by a
-// builder seeded with randx.SplitSeed(seed, i). The result is a pure
-// function of (factory, seed, seq) — independent of worker count and,
-// crucially, identical on every shard of a multi-process run. Exactly
-// one of WithPairBuilderFactory and WithPairBuilder must be given.
+// WithPairBuilderFactory sets how signatures are built (required):
+// signature.BuildSequenceParallel builds bag i with a builder seeded by
+// randx.SplitSeed(seed, i). The result is a pure function of (factory,
+// seed, seq) — independent of worker count and, crucially, identical on
+// every shard of a multi-process run.
 func WithPairBuilderFactory(f signature.BuilderFactory, seed int64) PairwiseOpt {
 	return func(c *pairwiseCfg) {
 		if f == nil {
@@ -192,22 +188,6 @@ func WithPairBuilderFactory(f signature.BuilderFactory, seed int64) PairwiseOpt 
 			return
 		}
 		c.factory, c.factorySeed = f, seed
-	}
-}
-
-// WithPairBuilder selects the legacy stateful-builder path: signatures
-// are built sequentially in bag order by the one shared builder, whose
-// RNG draw order is part of the reproducibility contract (this is what
-// the seed-era PairwiseEMD did). Prefer WithPairBuilderFactory for new
-// code; a stateful builder ties the matrix to sequential build order and
-// cannot parallelize signature construction.
-func WithPairBuilder(b signature.Builder) PairwiseOpt {
-	return func(c *pairwiseCfg) {
-		if b == nil {
-			c.fail("core: pairwise builder must be non-nil")
-			return
-		}
-		c.builder = b
 	}
 }
 
@@ -258,11 +238,8 @@ func resolvePairwise(opts []PairwiseOpt) (pairwiseCfg, error) {
 	if cfg.err != nil {
 		return cfg, cfg.err
 	}
-	if cfg.builder == nil && cfg.factory == nil {
-		return cfg, fmt.Errorf("core: pairwise needs WithPairBuilder or WithPairBuilderFactory")
-	}
-	if cfg.builder != nil && cfg.factory != nil {
-		return cfg, fmt.Errorf("core: WithPairBuilder and WithPairBuilderFactory are mutually exclusive")
+	if cfg.factory == nil {
+		return cfg, fmt.Errorf("core: pairwise needs WithPairBuilderFactory")
 	}
 	// cfg.tile == 0 stays 0 here: the automatic tile size depends on n,
 	// which the call sites resolve once the signatures exist.
@@ -310,15 +287,9 @@ func shardTiles(n, tile, shardIdx, shardCnt int) []tileRef {
 }
 
 // pairwiseSignatures builds (and normalizes, unless rawMass) one
-// signature per bag via the configured path.
+// signature per bag.
 func pairwiseSignatures(seq bag.Sequence, cfg *pairwiseCfg) ([]signature.Signature, error) {
-	var sigs []signature.Signature
-	var err error
-	if cfg.factory != nil {
-		sigs, err = signature.BuildSequenceParallel(cfg.factory, cfg.factorySeed, seq, cfg.workers)
-	} else {
-		sigs, err = signature.BuildSequence(cfg.builder, seq)
-	}
+	sigs, err := signature.BuildSequenceParallel(cfg.factory, cfg.factorySeed, seq, cfg.workers)
 	if err != nil {
 		return nil, err
 	}

@@ -102,7 +102,7 @@ func assertMatrixEqualsRef(t *testing.T, label string, m *PairwiseMatrix, ref []
 }
 
 // TestPairwiseTiledBitIdenticalToFlat is the tentpole property test:
-// the tiled matrix equals the flat seed-era PairwiseEMD bit-for-bit for
+// the tiled matrix equals the flat seed-era implementation bit-for-bit for
 // every tested tile size, worker count, and shard split (after
 // MergePairwise) — tiling, parallelism, and sharding are pure
 // throughput/topology knobs.
@@ -110,9 +110,9 @@ func TestPairwiseTiledBitIdenticalToFlat(t *testing.T) {
 	const n = 23
 	rng := randx.New(41)
 	seq := gaussianSeq(rng, n, n/2, 40, 0, 4)
-	builder := signature.NewHistogramBuilder(-8, 12, 32) // deterministic: flat and tiled see the same signatures
+	factory := signature.HistogramFactory(-8, 12, 32) // deterministic: flat and tiled see the same signatures
 
-	ref, err := seedEraPairwiseEMD(builder, seq, nil, false)
+	ref, err := seedEraPairwiseEMD(factory(0), seq, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPairwiseTiledBitIdenticalToFlat(t *testing.T) {
 		for _, workers := range workerCounts {
 			label := fmt.Sprintf("tile=%d workers=%d", tile, workers)
 			m, err := Pairwise(seq,
-				WithPairBuilder(builder),
+				WithPairBuilderFactory(factory, 0),
 				WithTileSize(tile),
 				WithPairWorkers(workers),
 			)
@@ -135,7 +135,7 @@ func TestPairwiseTiledBitIdenticalToFlat(t *testing.T) {
 				parts := make([]*PartialMatrix, shards)
 				for s := 0; s < shards; s++ {
 					parts[s], err = PairwiseShard(seq,
-						WithPairBuilder(builder),
+						WithPairBuilderFactory(factory, 0),
 						WithTileSize(tile),
 						WithPairWorkers(workers),
 						WithShard(s, shards),
@@ -205,14 +205,14 @@ func TestPairwiseFactoryPathDeterministic(t *testing.T) {
 func TestPartialMatrixJSONRoundTrip(t *testing.T) {
 	rng := randx.New(44)
 	seq := gaussianSeq(rng, 11, 5, 30, 0, 3)
-	builder := signature.NewHistogramBuilder(-8, 10, 24)
-	ref, err := seedEraPairwiseEMD(builder, seq, nil, false)
+	factory := signature.HistogramFactory(-8, 10, 24)
+	ref, err := seedEraPairwiseEMD(factory(0), seq, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var parts []*PartialMatrix
 	for s := 0; s < 2; s++ {
-		p, err := PairwiseShard(seq, WithPairBuilder(builder), WithTileSize(3), WithShard(s, 2))
+		p, err := PairwiseShard(seq, WithPairBuilderFactory(factory, 0), WithTileSize(3), WithShard(s, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestPartialMatrixJSONRoundTrip(t *testing.T) {
 func TestPairwiseMatrixViews(t *testing.T) {
 	rng := randx.New(45)
 	seq := gaussianSeq(rng, 6, 3, 20, 0, 3)
-	m, err := Pairwise(seq, WithPairBuilder(signature.NewHistogramBuilder(-8, 10, 24)))
+	m, err := Pairwise(seq, WithPairBuilderFactory(signature.HistogramFactory(-8, 10, 24), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,16 +261,14 @@ func TestPairwiseMatrixViews(t *testing.T) {
 
 func TestPairwiseOptionValidation(t *testing.T) {
 	seq := bag.Sequence{bag.FromScalars(0, []float64{1})}
-	hb := signature.NewHistogramBuilder(0, 2, 2)
+	withHist := WithPairBuilderFactory(signature.HistogramFactory(0, 2, 2), 1)
 	cases := map[string][]PairwiseOpt{
 		"no builder":       {},
-		"both paths":       {WithPairBuilder(hb), WithPairBuilderFactory(signature.HistogramFactory(0, 2, 2), 1)},
-		"nil builder":      {WithPairBuilder(nil)},
 		"nil factory":      {WithPairBuilderFactory(nil, 1)},
-		"negative tile":    {WithPairBuilder(hb), WithTileSize(-1)},
-		"bad shard index":  {WithPairBuilder(hb), WithShard(2, 2)},
-		"bad shard count":  {WithPairBuilder(hb), WithShard(0, 0)},
-		"sharded Pairwise": {WithPairBuilder(hb), WithShard(0, 2)},
+		"negative tile":    {withHist, WithTileSize(-1)},
+		"bad shard index":  {withHist, WithShard(2, 2)},
+		"bad shard count":  {withHist, WithShard(0, 0)},
+		"sharded Pairwise": {withHist, WithShard(0, 2)},
 	}
 	for name, opts := range cases {
 		if _, err := Pairwise(seq, opts...); err == nil {
@@ -282,10 +280,10 @@ func TestPairwiseOptionValidation(t *testing.T) {
 func TestMergePairwiseValidation(t *testing.T) {
 	rng := randx.New(46)
 	seq := gaussianSeq(rng, 9, 4, 20, 0, 3)
-	builder := signature.NewHistogramBuilder(-8, 10, 16)
+	factory := signature.HistogramFactory(-8, 10, 16)
 	shard := func(s, k, tile int) *PartialMatrix {
 		t.Helper()
-		p, err := PairwiseShard(seq, WithPairBuilder(builder), WithTileSize(tile), WithShard(s, k))
+		p, err := PairwiseShard(seq, WithPairBuilderFactory(factory, 0), WithTileSize(tile), WithShard(s, k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,15 +345,15 @@ func TestPairwiseShardLayoutPartitionsTriangle(t *testing.T) {
 }
 
 func TestPairwiseEmptyAndSingle(t *testing.T) {
-	builder := signature.NewHistogramBuilder(0, 2, 2)
-	m, err := Pairwise(bag.Sequence{}, WithPairBuilder(builder))
+	factory := signature.HistogramFactory(0, 2, 2)
+	m, err := Pairwise(bag.Sequence{}, WithPairBuilderFactory(factory, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.N() != 0 || len(m.Rows()) != 0 {
 		t.Errorf("empty sequence: n=%d", m.N())
 	}
-	m, err = Pairwise(bag.Sequence{bag.FromScalars(0, []float64{1})}, WithPairBuilder(builder))
+	m, err = Pairwise(bag.Sequence{bag.FromScalars(0, []float64{1})}, WithPairBuilderFactory(factory, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +385,7 @@ func TestPairwiseTiledCancelsOnErrorWithoutLeaks(t *testing.T) {
 			})
 			before := runtime.NumGoroutine()
 			_, err := Pairwise(seq,
-				WithPairBuilder(&badSigBuilder{badAt: -1}),
+				WithPairBuilderFactory(badSigFactory(-1), 0),
 				WithPairGround(ground),
 				WithPairRawMass(true),
 				WithTileSize(tile),
@@ -450,7 +448,7 @@ func TestMergePairwiseRejectsCorruptEmptyPartial(t *testing.T) {
 func TestPairwiseMatrixRowsConcurrent(t *testing.T) {
 	rng := randx.New(47)
 	seq := gaussianSeq(rng, 8, 4, 20, 0, 3)
-	m, err := Pairwise(seq, WithPairBuilder(signature.NewHistogramBuilder(-8, 10, 16)))
+	m, err := Pairwise(seq, WithPairBuilderFactory(signature.HistogramFactory(-8, 10, 16), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +477,7 @@ func TestPairwiseShardMemoryIsPacked(t *testing.T) {
 	total := 0
 	for s := 0; s < 3; s++ {
 		p, err := PairwiseShard(seq,
-			WithPairBuilder(signature.NewHistogramBuilder(-8, 10, 16)),
+			WithPairBuilderFactory(signature.HistogramFactory(-8, 10, 16), 0),
 			WithTileSize(7), WithShard(s, 3))
 		if err != nil {
 			t.Fatal(err)

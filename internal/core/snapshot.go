@@ -59,7 +59,7 @@ import (
 // v4 replaced the fingerprint's score field with the statistic NAME:
 // the detector's per-inspection score is now a registry of named
 // Statistic implementations (see statistic.go) of which the old
-// ScoreKL/ScoreLR enum values are two, so an int can no longer identify
+// two-valued kl/lr score enum covers two, so an int can no longer identify
 // which statistic produced the snapshotted intervals — a v4 reader
 // handed a v3 envelope would have to GUESS the mapping for any engine
 // carrying a registered custom statistic, and a wrong guess silently

@@ -11,9 +11,7 @@
 // bootstrap.ScoreFunc closure for a window, every layer above
 // identifies it by its stable NAME (config validation, the engine
 // snapshot fingerprint, the CLI flag, the option surface), and a
-// process-wide registry maps names to implementations. The historical
-// ScoreType enum and Config.Score survive as shims that resolve to
-// registry names, bit-identical to the pre-registry behaviour.
+// process-wide registry maps names to implementations.
 package core
 
 import (

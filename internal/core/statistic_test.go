@@ -85,39 +85,14 @@ func TestRegisterStatisticValidation(t *testing.T) {
 func TestConfigStatisticResolution(t *testing.T) {
 	base := Config{Tau: 3, TauPrime: 3, Builder: signature.NewHistogramBuilder(-4, 7, 20)}
 
-	// The enum shim resolves to the registered names.
-	for _, tc := range []struct {
-		score ScoreType
-		want  string
-	}{{ScoreKL, "kl"}, {ScoreLR, "lr"}} {
-		cfg := base
-		cfg.Score = tc.score
-		if got := cfg.StatisticName(); got != tc.want {
-			t.Fatalf("Score=%v resolves to %q, want %q", tc.score, got, tc.want)
-		}
+	// An empty Statistic is "kl"; a set one resolves to itself.
+	if got := base.StatisticName(); got != "kl" {
+		t.Fatalf("empty Statistic resolves to %q, want \"kl\"", got)
 	}
-
-	// Statistic wins when set; agreement with Score is allowed.
 	cfg := base
 	cfg.Statistic = "lr"
-	cfg.Score = ScoreLR
-	if err := cfg.validate(); err != nil {
-		t.Fatalf("agreeing Score/Statistic rejected: %v", err)
-	}
-
-	// Disagreement is refused loudly.
-	cfg = base
-	cfg.Statistic = "kl"
-	cfg.Score = ScoreLR
-	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "disagree") {
-		t.Fatalf("disagreeing Score/Statistic: err = %v", err)
-	}
-
-	// Out-of-enum Score keeps the historical error text.
-	cfg = base
-	cfg.Score = ScoreType(9)
-	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "unknown score type 9") {
-		t.Fatalf("bad enum: err = %v", err)
+	if got := cfg.StatisticName(); got != "lr" {
+		t.Fatalf("Statistic=lr resolves to %q", got)
 	}
 
 	// Unregistered name lists the registered set.
@@ -136,41 +111,33 @@ func TestConfigStatisticResolution(t *testing.T) {
 	}
 }
 
-// TestStatisticShimBitIdentity is the refactor's contract on the
-// historical surface: a detector configured through the ScoreType enum
-// and one configured through the statistic name produce bit-identical
-// Points — same scores, same intervals, same alarms.
+// TestStatisticShimBitIdentity: an empty Statistic is exactly the "kl"
+// statistic — a detector left at the default and one naming "kl"
+// produce bit-identical Points (same scores, intervals and alarms).
 func TestStatisticShimBitIdentity(t *testing.T) {
 	seq := goldenSequence()[:40]
-	for _, tc := range []struct {
-		score ScoreType
-		name  string
-	}{{ScoreKL, "kl"}, {ScoreLR, "lr"}} {
-		mk := func(mutate func(*Config)) []Point {
-			cfg := Config{
-				Tau: 4, TauPrime: 4,
-				Builder:   signature.NewHistogramBuilder(-4, 7, 40),
-				Bootstrap: bootstrap.Config{Replicates: 120, Alpha: 0.05},
-				Seed:      77,
-			}
-			mutate(&cfg)
-			pts, err := Run(cfg, seq)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			return pts
+	mk := func(name string) []Point {
+		pts, err := Run(Config{
+			Tau: 4, TauPrime: 4,
+			Statistic: name,
+			Builder:   signature.NewHistogramBuilder(-4, 7, 40),
+			Bootstrap: bootstrap.Config{Replicates: 120, Alpha: 0.05},
+			Seed:      77,
+		}, seq)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
 		}
-		viaEnum := mk(func(c *Config) { c.Score = tc.score })
-		viaName := mk(func(c *Config) { c.Statistic = tc.name })
-		if len(viaEnum) != len(viaName) || len(viaEnum) == 0 {
-			t.Fatalf("%s: point counts differ (%d vs %d)", tc.name, len(viaEnum), len(viaName))
-		}
-		for i := range viaEnum {
-			a, b := viaEnum[i], viaName[i]
-			sameKappa := a.Kappa == b.Kappa || (math.IsNaN(a.Kappa) && math.IsNaN(b.Kappa))
-			if a.T != b.T || a.Score != b.Score || a.Interval != b.Interval || !sameKappa || a.Alarm != b.Alarm {
-				t.Fatalf("%s: point %d differs between enum and name config:\n  enum: %+v\n  name: %+v", tc.name, i, a, b)
-			}
+		return pts
+	}
+	viaDefault, viaName := mk(""), mk("kl")
+	if len(viaDefault) != len(viaName) || len(viaDefault) == 0 {
+		t.Fatalf("point counts differ (%d vs %d)", len(viaDefault), len(viaName))
+	}
+	for i := range viaDefault {
+		a, b := viaDefault[i], viaName[i]
+		sameKappa := a.Kappa == b.Kappa || (math.IsNaN(a.Kappa) && math.IsNaN(b.Kappa))
+		if a.T != b.T || a.Score != b.Score || a.Interval != b.Interval || !sameKappa || a.Alarm != b.Alarm {
+			t.Fatalf("point %d differs between default and named config:\n  default: %+v\n  kl:      %+v", i, a, b)
 		}
 	}
 }

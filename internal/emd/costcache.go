@@ -3,7 +3,6 @@ package emd
 import (
 	"math"
 	"reflect"
-	"sync/atomic"
 
 	"repro/internal/signature"
 )
@@ -291,36 +290,4 @@ func supportHash(s, t signature.Signature, srcIdx, dstIdx []int, dim int) uint64
 // normalized to Euclidean before the cache sees it).
 func groundPtr(g Ground) uintptr {
 	return reflect.ValueOf(g).Pointer()
-}
-
-// --- Process-wide counters (served at /metrics) -----------------------------
-
-var (
-	groundEvalsTotal atomic.Uint64
-	cacheHitsTotal   atomic.Uint64
-	cacheMissesTotal atomic.Uint64
-)
-
-// GlobalStats returns the process-wide totals every solve publishes:
-// ground-distance evaluations performed, and cost rows/cells served
-// from (hits) or stored into (misses) cost caches. The server's
-// /metrics endpoint exposes them as emd_ground_evals_total and
-// emd_cost_cache_{hits,misses}_total.
-func GlobalStats() (groundEvals, cacheHits, cacheMisses uint64) {
-	return groundEvalsTotal.Load(), cacheHitsTotal.Load(), cacheMissesTotal.Load()
-}
-
-// publishStats flushes the per-solve counters into the process-wide
-// totals. Called (deferred) by the public distance entry points; the >0
-// guards keep the closed-form path free of atomic traffic.
-func (sv *Solver) publishStats() {
-	if sv.statGroundEvals > 0 {
-		groundEvalsTotal.Add(uint64(sv.statGroundEvals))
-	}
-	if sv.statCacheHits > 0 {
-		cacheHitsTotal.Add(uint64(sv.statCacheHits))
-	}
-	if sv.statCacheMisses > 0 {
-		cacheMissesTotal.Add(uint64(sv.statCacheMisses))
-	}
 }

@@ -202,10 +202,9 @@ type Solver struct {
 	statRefillRows int
 
 	// Cost-amortization counters, reset by stageProblem / the 1-D closed
-	// form and published into the process-wide totals when the solve
-	// returns: ground evaluations performed, cost cells served from /
-	// stored into the cache, and pivots served from the retained
-	// candidate queues without a refill.
+	// form and read through Stats: ground evaluations performed, cost
+	// cells served from / stored into the cache, and pivots served from
+	// the retained candidate queues without a refill.
 	statGroundEvals int
 	statCacheHits   int
 	statCacheMisses int
@@ -412,7 +411,6 @@ func (sv *Solver) largeEligible(s, t signature.Signature) bool {
 // distance dispatches a validated pair onto the closed form or one of
 // the two simplex paths.
 func (sv *Solver) distance(s, t signature.Signature, g Ground) (float64, error) {
-	defer sv.publishStats()
 	if s.Dim() == 1 && euclideanGround(g) {
 		ws, wt := s.TotalWeight(), t.TotalWeight()
 		if balancedTotals(ws, wt) {
@@ -449,7 +447,6 @@ func (sv *Solver) DistanceLarge(s, t signature.Signature, g Ground) (float64, er
 	if err := validatePair(s, t); err != nil {
 		return 0, err
 	}
-	defer sv.publishStats()
 	if s.Dim() == 1 && euclideanGround(g) {
 		ws, wt := s.TotalWeight(), t.TotalWeight()
 		if balancedTotals(ws, wt) {
@@ -487,7 +484,6 @@ func (sv *Solver) DistanceFlow(s, t signature.Signature, g Ground) (*Result, err
 	if err := validatePair(s, t); err != nil {
 		return nil, err
 	}
-	defer sv.publishStats()
 	if g == nil {
 		g = Euclidean
 	}

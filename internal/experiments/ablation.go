@@ -94,10 +94,10 @@ func Ablation(seed int64) (*AblationResult, error) {
 	}
 
 	// Study 1: score type.
-	for _, s := range []core.ScoreType{core.ScoreKL, core.ScoreLR} {
+	for _, s := range []struct{ label, name string }{{"KL", "kl"}, {"LR", "lr"}} {
 		cfg := base()
-		cfg.Score = s
-		if err := run("score", s.String(), cfg); err != nil {
+		cfg.Statistic = s.name
+		if err := run("score", s.label, cfg); err != nil {
 			return nil, err
 		}
 	}

@@ -93,7 +93,7 @@ func EngineScale(seed int64, opts EngineScaleOptions) (*EngineScaleResult, error
 		return core.NewEngine(core.EngineConfig{
 			Template: core.Config{
 				Tau: tau, TauPrime: tauPrime,
-				Score:     core.ScoreKL,
+				Statistic: "kl",
 				Bootstrap: bootstrap.Config{Replicates: opts.Replicates, Alpha: 0.05},
 			},
 			Factory: signature.HistogramFactory(-6, 9, 30),

@@ -41,7 +41,7 @@ func detectorConfig(tau, tauPrime int, b signature.Builder, replicates int, seed
 	return core.Config{
 		Tau:       tau,
 		TauPrime:  tauPrime,
-		Score:     core.ScoreKL,
+		Statistic: "kl",
 		Builder:   b,
 		Bootstrap: bootstrap.Config{Replicates: replicates, Alpha: 0.05},
 		Seed:      seed,

@@ -22,8 +22,13 @@
 //
 // Net effect: after a SIGKILL, recovery reconstructs exactly the
 // acknowledged prefix of every stream — rows whose fsync never
-// completed were never 200'd, and their retry lands on the very tick
-// the crash rewound to.
+// completed were never 200'd, and their retry lands on the very bag
+// index the crash rewound to.
+//
+// The engine is the only bag clock: it stamps each row's bag_t under the
+// stream's lock at the position the bag is applied, and the apply hook
+// logs exactly that value, so per-stream records are gap-free even when
+// concurrent batches interleave on one stream.
 package server
 
 import (
@@ -189,7 +194,6 @@ func (s *Server) applyReplay(rec oplog.Record) error {
 			return fmt.Errorf("stream %q: replaying bag %d: %w", rec.Stream, rec.BagT, err)
 		}
 		s.mu.Lock()
-		s.ticks[rec.Stream] = rec.BagT + 1
 		s.lastPush[rec.Stream] = s.now()
 		s.mu.Unlock()
 		return nil
@@ -458,8 +462,8 @@ func (s *Server) spillStreamsLocked(ids []string) []string {
 	return spilled
 }
 
-// faultInLocked restores each spilled stream from its envelope, resumes
-// its bookkeeping at the envelope's bag clock, and deletes the spill
+// faultInLocked restores each spilled stream from its envelope (which
+// carries its bag clock), restarts its idle clock, and deletes the spill
 // file. Callers hold the exclusive phase lock (or pre-serving
 // quiescence during replay).
 func (s *Server) faultInLocked(ids []string) error {
@@ -485,14 +489,7 @@ func (s *Server) faultInLocked(ids []string) error {
 		if err := s.eng.RestoreStreams(&env); err != nil {
 			return fmt.Errorf("faulting in stream %q: %w", id, err)
 		}
-		now := s.now()
-		s.mu.Lock()
-		for i := range env.Streams {
-			ss := &env.Streams[i]
-			s.ticks[ss.ID] = ss.Detector.Count
-			s.lastPush[ss.ID] = now
-		}
-		s.mu.Unlock()
+		s.stampStreams(&env)
 		if err := s.spill.Delete(id); err != nil {
 			// The stream is live and correct; a stale spill file is only a
 			// problem if it survives to the next recovery, which reconciles.

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -113,6 +116,120 @@ func TestOplogRecoverTornTail(t *testing.T) {
 		rows := doPush(t, tsB, pushBody(step, ids...))
 		for i := range rows {
 			scoredEqual(t, fmt.Sprintf("B step %d row %d", step, i), rows[i], want[step][i])
+		}
+	}
+}
+
+// postRows pushes body and decodes the result rows; unlike doPush it is
+// safe to call from any goroutine.
+func postRows(url, body string) ([]resultRow, error) {
+	resp, err := http.Post(url+"/v1/push", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("push status %d", resp.StatusCode)
+	}
+	var rows []resultRow
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var row resultRow
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, sc.Err()
+}
+
+// TestConcurrentSameStreamOplog: concurrent multi-row batches on ONE
+// stream with the oplog on. Every row must carry the index the engine
+// applied it at — the applied bag_t values are exactly 0…n−1, each
+// batch's run is contiguous, and every scored row has t = bag_t−(τ′−1) —
+// /v1/streams must count all n, and a fresh server must replay the log
+// without finding a hole. Labels handed out before the apply (instead
+// of at it) let a later-labelled batch apply first, which breaks all
+// three.
+func TestConcurrentSameStreamOplog(t *testing.T) {
+	const goroutines, batches, rowsPer, trials = 6, 8, 2, 8
+	const n = goroutines * batches * rowsPer
+	const tauPrime = 3 // testEngine's τ′
+	for trial := 0; trial < trials; trial++ {
+		dir := t.TempDir()
+		srvA, tsA := newTestServer(t, func(c *Config) { c.OplogDir = dir })
+		var (
+			mu   sync.Mutex
+			runs [][]resultRow
+			wg   sync.WaitGroup
+			errs = make(chan error, goroutines)
+		)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := 0; b < batches; b++ {
+					var body strings.Builder
+					for r := 0; r < rowsPer; r++ {
+						body.WriteString(pushBody((g*batches+b)*rowsPer+r, "s"))
+					}
+					rows, err := postRows(tsA.URL, body.String())
+					if err != nil {
+						errs <- err
+						return
+					}
+					mu.Lock()
+					runs = append(runs, rows)
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		seen := make([]bool, n)
+		for _, rows := range runs {
+			for i, row := range rows {
+				if row.Error != "" {
+					t.Fatalf("trial %d: row error %q", trial, row.Error)
+				}
+				if row.BagT < 0 || row.BagT >= n || seen[row.BagT] {
+					t.Fatalf("trial %d: bag_t %d out of range or repeated", trial, row.BagT)
+				}
+				seen[row.BagT] = true
+				if row.BagT != rows[0].BagT+i {
+					t.Fatalf("trial %d: batch bag_t run %d..%d not contiguous", trial, rows[0].BagT, row.BagT)
+				}
+				if row.T != nil && *row.T != row.BagT-(tauPrime-1) {
+					t.Fatalf("trial %d: scored t=%d at bag_t=%d, want t = bag_t-%d", trial, *row.T, row.BagT, tauPrime-1)
+				}
+			}
+		}
+		for bt, ok := range seen {
+			if !ok {
+				t.Fatalf("trial %d: bag_t %d never assigned", trial, bt)
+			}
+		}
+		if infos := listStreams(t, tsA); len(infos) != 1 || infos[0].Pushed != n {
+			t.Fatalf("trial %d: /v1/streams = %+v, want pushed=%d", trial, infos, n)
+		}
+		tsA.Close()
+		if err := srvA.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Engine: testEngine(t), OplogDir: dir}
+		srvB, err := New(cfg)
+		if err != nil {
+			t.Fatalf("trial %d: restart on the same oplog: %v", trial, err)
+		}
+		tsB := httptest.NewServer(srvB)
+		infos := listStreams(t, tsB)
+		tsB.Close()
+		srvB.Close()
+		if len(infos) != 1 || infos[0].Pushed != n {
+			t.Fatalf("trial %d: recovered /v1/streams = %+v, want pushed=%d", trial, infos, n)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/emd"
 	"repro/internal/obs"
 	"repro/internal/oplog"
 )
@@ -159,22 +158,6 @@ func newMetrics(eng *core.Engine) *metrics {
 	m.extractions = reg.Counter("bagcpd_streams_extracted_total", "Streams extracted into migration envelopes.")
 	m.adoptions = reg.Counter("bagcpd_streams_adopted_total", "Streams adopted from migration envelopes.")
 	m.respWriteErrors = reg.Counter("bagcpd_push_response_write_errors_total", "Push response rows dropped because the client connection failed mid-response.")
-
-	// EMD cost-amortization totals, sampled from the solver package at
-	// scrape time (every detector solve publishes into them). The hit:eval
-	// ratio shows how much ground-distance work the cost caches absorb.
-	reg.CounterFunc("emd_ground_evals_total", "Ground-distance evaluations performed by EMD solves.", func() uint64 {
-		ge, _, _ := emd.GlobalStats()
-		return ge
-	})
-	reg.CounterFunc("emd_cost_cache_hits_total", "Cost cells served from EMD ground-cost caches.", func() uint64 {
-		_, ch, _ := emd.GlobalStats()
-		return ch
-	})
-	reg.CounterFunc("emd_cost_cache_misses_total", "Cost cells computed and stored into EMD ground-cost caches.", func() uint64 {
-		_, _, cm := emd.GlobalStats()
-		return cm
-	})
 
 	m.batchLat = reg.Summary("bagcpd_push_batch_seconds",
 		fmt.Sprintf("Push batch latency (window of last %d batches).", latencyWindow),

@@ -178,10 +178,10 @@ type Server struct {
 	// engine is quiescent while state is captured or replaced.
 	state sync.RWMutex
 
-	// mu guards the per-stream bookkeeping below.
+	// mu guards lastPush, the last push wall time per stream (idle
+	// eviction and LRU spill order by it).
 	mu       sync.Mutex
-	ticks    map[string]int       // next bag time index per stream
-	lastPush map[string]time.Time // last push wall time per stream
+	lastPush map[string]time.Time
 
 	// Durability tier (durability.go). wal and spill are nil when the
 	// corresponding Config directory is unset.
@@ -243,7 +243,6 @@ func New(cfg Config) (*Server, error) {
 		log:      cfg.Logger,
 		now:      cfg.Now,
 		sem:      make(chan struct{}, cfg.MaxInFlight),
-		ticks:    make(map[string]int),
 		lastPush: make(map[string]time.Time),
 	}
 	s.mux.HandleFunc("POST /v1/push", s.handlePush)
@@ -311,9 +310,10 @@ type pushRow struct {
 }
 
 // resultRow is one NDJSON response row, parallel to the input row.
-// BagT is the server-assigned time index of the pushed bag; scored rows
-// carry the inspection time T (which trails BagT by τ′−1 — the test
-// window must fill before a time can be judged).
+// BagT is the index at which the engine applied the bag (for an error
+// row, the index a retry will take); scored rows carry the inspection
+// time T (which trails BagT by τ′−1 — the test window must fill before
+// a time can be judged).
 type resultRow struct {
 	Stream  string   `json:"stream"`
 	BagT    int      `json:"bag_t"`
@@ -380,27 +380,19 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.state.RUnlock()
 
-	// Assign each row its stream's next time index. The tick allocation
-	// is atomic per batch, so concurrent batches get disjoint label
-	// ranges even when they interleave on a stream.
+	// The engine assigns each row's bag_t (batch[i].Bag.T) under the
+	// stream's lock, at the position the bag is applied.
 	batch := make([]core.StreamBag, len(rows))
-	bagT := make([]int, len(rows))
-	allocEnd := make(map[string]int) // where this batch left each stream's clock
-	start := s.now()
-	s.mu.Lock()
 	for i, row := range rows {
-		t := s.ticks[row.Stream]
-		s.ticks[row.Stream] = t + 1
-		allocEnd[row.Stream] = t + 1
-		bagT[i] = t
-		batch[i] = core.StreamBag{StreamID: row.Stream, Bag: bag.Bag{T: t, Points: row.Bag}}
+		batch[i] = core.StreamBag{StreamID: row.Stream, Bag: bag.Bag{Points: row.Bag}}
 	}
-	s.mu.Unlock()
+	start := s.now()
 
 	// The oplog record for each applied row is enqueued from the engine's
 	// apply hook — under the stream's lock, so per-stream log order is
-	// apply order even across interleaving batches. Durability comes from
-	// the Sync below, before anything is acknowledged.
+	// apply order even across interleaving batches, and each record's
+	// bag_t is its apply position. Durability comes from the Sync below,
+	// before anything is acknowledged.
 	var onApply func(i int, mark uint64)
 	if s.wal != nil {
 		onApply = func(i int, mark uint64) {
@@ -425,46 +417,9 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 
 	end := s.now()
-	// Reconcile the tick clocks of streams that had failing rows: a
-	// failed (or skipped) bag consumed a tick label but never advanced
-	// its detector, and the restore bookkeeping contract is exactly
-	// "tick clock == detector count". The engine's Seq is the truth.
-	reseq := make(map[string]int)
-	for _, res := range results {
-		if res.Err == nil {
-			continue
-		}
-		if _, done := reseq[res.StreamID]; done {
-			continue
-		}
-		if st, ok := s.eng.Get(res.StreamID); ok {
-			reseq[res.StreamID] = st.Seq()
-		} else {
-			// The stream never opened (or is already gone): drop its
-			// bookkeeping so a later life starts from tick 0.
-			reseq[res.StreamID] = -1
-		}
-	}
 	s.mu.Lock()
 	for _, row := range rows {
 		s.lastPush[row.Stream] = end
-	}
-	for id, seq := range reseq {
-		// Reconcile only if no concurrent batch has moved the clock past
-		// this batch's allocation: rolling it back below labels another
-		// batch already issued would hand those labels out twice. The
-		// skipped reconciliation leaves the clock ahead of the detector
-		// count (labels skip values) — benign, and the interleaving
-		// batch's own reconciliation still runs.
-		if s.ticks[id] != allocEnd[id] {
-			continue
-		}
-		if seq < 0 {
-			delete(s.ticks, id)
-			delete(s.lastPush, id)
-		} else {
-			s.ticks[id] = seq
-		}
 	}
 	s.mu.Unlock()
 
@@ -497,7 +452,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	// ARE applied and durable — the client re-syncs via /v1/streams.)
 	dropped := 0
 	for i, res := range results {
-		rr := resultRow{Stream: res.StreamID, BagT: bagT[i], Trace: trace}
+		rr := resultRow{Stream: res.StreamID, BagT: batch[i].Bag.T, Trace: trace}
 		switch {
 		case res.Err != nil:
 			rowErrors++
@@ -615,14 +570,18 @@ func (s *Server) handleStreams(w http.ResponseWriter, _ *http.Request) {
 	now := s.now()
 	ids := s.eng.StreamIDs()
 	infos := make([]streamInfo, 0, len(ids))
-	s.mu.Lock()
 	for _, id := range ids {
 		info := streamInfo{ID: id}
-		info.Pushed = s.ticks[id]
-		if last, ok := s.lastPush[id]; ok {
-			info.IdleSeconds = now.Sub(last).Seconds()
+		if st, ok := s.eng.Get(id); ok {
+			info.Pushed = st.Seq()
 		}
 		infos = append(infos, info)
+	}
+	s.mu.Lock()
+	for i := range infos {
+		if last, ok := s.lastPush[infos[i].ID]; ok {
+			infos[i].IdleSeconds = now.Sub(last).Seconds()
+		}
 	}
 	s.mu.Unlock()
 	s.writeJSON(w, map[string]any{"streams": infos})
@@ -794,14 +753,7 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	now := s.now()
-	s.mu.Lock()
-	for i := range snap.Streams {
-		ss := &snap.Streams[i]
-		s.ticks[ss.ID] = ss.Detector.Count
-		s.lastPush[ss.ID] = now
-	}
-	s.mu.Unlock()
+	s.stampStreams(&snap)
 	// Adopted state arrived without oplog records; only a checkpoint makes
 	// it durable, and the donor has already let go. A checkpoint failure
 	// keeps the streams live but reports 500 — the caller must not treat
@@ -871,22 +823,26 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{"restored": len(snap.Streams)})
 }
 
-// resetBookkeeping rebuilds the per-stream tick clocks and idle stamps
-// after a restore (or clears them when snap is nil).
+// resetBookkeeping rebuilds the per-stream idle stamps after a restore
+// (or clears them when snap is nil).
 func (s *Server) resetBookkeeping(snap *core.EngineSnapshot) {
+	s.mu.Lock()
+	clear(s.lastPush)
+	s.mu.Unlock()
+	if snap != nil {
+		s.stampStreams(snap)
+	}
+}
+
+// stampStreams starts the idle clock of every stream snap brought in
+// (restore, adopt, fault-in).
+func (s *Server) stampStreams(snap *core.EngineSnapshot) {
 	now := s.now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	clear(s.ticks)
-	clear(s.lastPush)
-	if snap == nil {
-		return
-	}
 	for i := range snap.Streams {
-		ss := &snap.Streams[i]
-		s.ticks[ss.ID] = ss.Detector.Count
-		s.lastPush[ss.ID] = now
+		s.lastPush[snap.Streams[i].ID] = now
 	}
+	s.mu.Unlock()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -953,11 +909,9 @@ func (s *Server) handleStreamStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, row)
 }
 
-// forget drops the per-stream bookkeeping of a closed stream: its next
-// life starts from scratch, tick 0 included.
+// forget drops the idle stamp of a closed stream.
 func (s *Server) forget(id string) {
 	s.mu.Lock()
-	delete(s.ticks, id)
 	delete(s.lastPush, id)
 	s.mu.Unlock()
 }

@@ -510,9 +510,8 @@ func TestPushBodyTooLarge(t *testing.T) {
 }
 
 // TestPushErrorKeepsClockAligned: a bag that parses but fails inside the
-// detector must not advance the stream's tick clock — the restore
-// contract is tick clock == detector count, and the next good bag takes
-// the label the failed one burned.
+// detector must not advance the stream's bag clock — the next good bag
+// takes the index the failed one would have had.
 func TestPushErrorKeepsClockAligned(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	for step := 0; step < 3; step++ {
@@ -530,15 +529,14 @@ func TestPushErrorKeepsClockAligned(t *testing.T) {
 	if rows[0].BagT != 3 {
 		t.Fatalf("bag_t after failed bag = %d, want 3", rows[0].BagT)
 	}
-	// And the engine agrees with the server's clock.
+	// And the engine's count agrees.
 	st, ok := srv.eng.Get("s")
 	if !ok || st.Seq() != 4 {
 		t.Fatalf("engine seq = %d, want 4", st.Seq())
 	}
 
-	// A stream whose very first row fails to OPEN leaves no bookkeeping:
-	// its next life starts at tick 0. (Simulate via a bag the builder
-	// rejects on a brand-new stream — the stream opens but count stays 0.)
+	// A brand-new stream whose first bag fails stays at index 0: the
+	// stream opens but its count stays 0.
 	rows = doPush(t, ts, `{"stream":"fresh","bag":[[1,2],[3,4]]}`+"\n")
 	if rows[0].Error == "" {
 		t.Fatal("expected error")
@@ -592,12 +590,11 @@ func TestMetricsExposition(t *testing.T) {
 		"bagcpd_inflight_batches 0",
 		"bagcpd_streams_extracted_total 1",
 		"bagcpd_streams_adopted_total 1",
-		// EMD cost-amortization totals sampled from the solver package.
-		// Values are process-wide (other tests solve EMDs too), so assert
-		// only that the families are exposed.
-		"# TYPE emd_ground_evals_total counter",
-		"# TYPE emd_cost_cache_hits_total counter",
-		"# TYPE emd_cost_cache_misses_total counter",
+		// EMD cost-amortization totals, per statistic, from the engine's
+		// stage observer.
+		"# TYPE bagcpd_push_solver_ground_evals_total counter",
+		"# TYPE bagcpd_push_solver_cache_hits_total counter",
+		"# TYPE bagcpd_push_solver_cache_misses_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)

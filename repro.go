@@ -131,27 +131,6 @@ func GridFactory(lo, hi []float64, bins int) BuilderFactory {
 	return signature.GridFactory(lo, hi, bins)
 }
 
-// NewKMeansBuilder quantizes each bag with k-means (k-means++ seeding)
-// into at most k clusters. The seed makes signature construction
-// reproducible.
-//
-// Deprecated: the returned Builder holds one RNG, so sharing it between
-// detectors couples their signature streams and silently breaks
-// per-detector reproducibility. Use KMeansFactory with an Engine (or
-// call KMeansFactory(k)(seed) for a one-off builder — this function is
-// now exactly that, so single-detector behaviour is unchanged).
-func NewKMeansBuilder(k int, seed int64) Builder {
-	return KMeansFactory(k)(seed)
-}
-
-// NewKMedoidsBuilder quantizes each bag with k-medoids (medoids are data
-// points; robust to outliers).
-//
-// Deprecated: see NewKMeansBuilder; use KMedoidsFactory instead.
-func NewKMedoidsBuilder(k int, seed int64) Builder {
-	return KMedoidsFactory(k)(seed)
-}
-
 // NewOnlineBuilder quantizes each bag in one pass with competitive
 // learning (LVQ-style); suitable for very large bags.
 func NewOnlineBuilder(k int, rate float64) Builder {
@@ -188,19 +167,6 @@ var (
 // ground distance g (nil selects Euclidean with an exact 1-D fast path).
 // Different total masses trigger the paper's partial matching (Eq. 7-12).
 func EMD(s, t Signature, g Ground) (float64, error) { return emd.Distance(s, t, g) }
-
-// ScoreType selects the change-point score. It is the historical enum
-// shim over the named statistic registry (see Statistic); new code
-// should select statistics by name with WithStatistic.
-type ScoreType = core.ScoreType
-
-// The two change-point scores of §3.3.
-const (
-	// ScoreKL is the symmetrized-KL score (Eq. 17): robust, conservative.
-	ScoreKL = core.ScoreKL
-	// ScoreLR is the likelihood-ratio score (Eq. 16): sensitive, noisier.
-	ScoreLR = core.ScoreLR
-)
 
 // Statistic is a named per-inspection change-point score: it validates
 // configs and yields the bootstrap replicate closure for a detector
@@ -288,21 +254,14 @@ func WithTau(tau int) Option {
 }
 
 // WithTauPrime sets the test window length τ′ (required, >= 1; >= 2 for
-// ScoreLR).
+// the "lr" statistic).
 func WithTauPrime(tauPrime int) Option {
 	return Option{func(c *core.EngineConfig) { c.Template.TauPrime = tauPrime }}
 }
 
-// WithScore selects the change-point score (default ScoreKL). It is the
-// historical enum shim: WithScore(ScoreKL) ≡ WithStatistic("kl") and
-// WithScore(ScoreLR) ≡ WithStatistic("lr"), bit-for-bit.
-func WithScore(s ScoreType) Option {
-	return Option{func(c *core.EngineConfig) { c.Template.Score = s }}
-}
-
 // WithStatistic selects the per-inspection change-point statistic by
-// registry name: "kl", "lr", "clr", or any name registered with
-// RegisterStatistic. The name joins the engine snapshot fingerprint, so
+// registry name: "kl" (the default), "lr", "clr", or any name registered
+// with RegisterStatistic. The name joins the engine snapshot fingerprint, so
 // engines that disagree on it refuse each other's snapshots.
 func WithStatistic(name string) Option {
 	return Option{func(c *core.EngineConfig) { c.Template.Statistic = name }}
@@ -328,9 +287,9 @@ func WithGround(g Ground) Option {
 }
 
 // WithBootstrap configures the Bayesian-bootstrap confidence intervals.
-// A zero Workers field defaults to 1 inside an engine: parallelism comes
-// from fanning streams across the engine's workers, and the bootstrap
-// result is bit-identical regardless.
+// A zero Workers field evaluates replicates serially: inside an engine,
+// parallelism comes from fanning streams across the engine's workers,
+// and the bootstrap result is bit-identical regardless.
 func WithBootstrap(bc BootstrapConfig) Option {
 	return Option{func(c *core.EngineConfig) { c.Template.Bootstrap = bc }}
 }
@@ -372,8 +331,9 @@ func WithEMDLargeThreshold(k int) Option {
 // threshold, the cache is bit-transparent — every score is the same
 // bits with caching on or off — so this knob is NOT part of the
 // snapshot fingerprint and engines may restore across different cache
-// settings. Watch emd_ground_evals_total vs emd_cost_cache_hits_total
-// on /metrics to see the absorption ratio.
+// settings. Watch bagcpd_push_solver_ground_evals_total vs
+// bagcpd_push_solver_cache_hits_total on /metrics to see the absorption
+// ratio.
 func WithEMDCostCache(n int) Option {
 	return Option{func(c *core.EngineConfig) { c.Template.EMDCostCacheSlots = n }}
 }
@@ -481,19 +441,6 @@ func Alarms(points []Point) []int { return core.Alarms(points) }
 // Scores extracts the score series.
 func Scores(points []Point) []float64 { return core.Scores(points) }
 
-// PairwiseEMD returns the full EMD matrix between all bags of a sequence
-// (signatures built with builder, normalized to unit mass). Feed it to
-// MDSEmbed to visualize the bags the way Fig. 6 does.
-//
-// It is a shim over the tiled engine preserving the original [][]float64
-// surface; corpus-scale callers should use PairwiseEMDTiled (flat
-// PairwiseMatrix, parallel factory-built signatures) and, for n ≫ 10³,
-// PairwiseEMDShard + MergePairwise to split the work across processes
-// or hosts.
-func PairwiseEMD(builder Builder, seq Sequence, g Ground) ([][]float64, error) {
-	return core.PairwiseEMD(builder, seq, g, false)
-}
-
 // --- Tiled / sharded pairwise EMD -------------------------------------------
 
 // PairwiseMatrix is the full symmetric EMD matrix in one flat row-major
@@ -525,15 +472,10 @@ func WithShard(index, count int) PairwiseOpt { return core.WithShard(index, coun
 
 // WithPairBuilderFactory builds signatures through a factory with
 // per-bag split seeds (parallel, worker-count- and shard-independent).
-// Exactly one of WithPairBuilderFactory and WithPairBuilder is required.
+// Required.
 func WithPairBuilderFactory(f BuilderFactory, seed int64) PairwiseOpt {
 	return core.WithPairBuilderFactory(f, seed)
 }
-
-// WithPairBuilder builds signatures sequentially with one (possibly
-// stateful) builder — the legacy PairwiseEMD path, kept for builders
-// whose RNG draw order is part of a reproduction contract.
-func WithPairBuilder(b Builder) PairwiseOpt { return core.WithPairBuilder(b) }
 
 // WithPairGround sets the EMD ground distance (nil selects Euclidean
 // with its exact 1-D fast path).

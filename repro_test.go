@@ -45,8 +45,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestPublicBuilders(t *testing.T) {
 	b2 := NewBag(0, [][]float64{{1, 2}, {3, 4}, {10, 10}, {11, 11}})
 	for name, bld := range map[string]Builder{
-		"kmeans":   NewKMeansBuilder(2, 1),
-		"kmedoids": NewKMedoidsBuilder(2, 1),
+		"kmeans":   KMeansFactory(2)(1),
+		"kmedoids": KMedoidsFactory(2)(1),
 		"online":   NewOnlineBuilder(2, 0.5),
 		"grid":     NewGridBuilder([]float64{0, 0}, []float64{12, 12}, 3),
 	} {
@@ -82,7 +82,7 @@ func TestPublicEMD(t *testing.T) {
 func TestPublicStreamingDetector(t *testing.T) {
 	det, err := NewDetector(Config{
 		Tau: 3, TauPrime: 3,
-		Score:     ScoreLR,
+		Statistic: "lr",
 		Weighting: WeightDiscounted,
 		Builder:   NewHistogramBuilder(-5, 15, 20),
 		Bootstrap: BootstrapConfig{Replicates: 100},
@@ -138,11 +138,11 @@ func TestPublicPairwiseEMDAndMDS(t *testing.T) {
 		}
 		seq = append(seq, BagFromScalars(ts, vals))
 	}
-	m, err := PairwiseEMD(NewHistogramBuilder(-5, 15, 40), seq, nil)
+	m, err := PairwiseEMDTiled(seq, WithPairBuilderFactory(HistogramFactory(-5, 15, 40), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	coords, vals, err := MDSEmbed(m, 2)
+	coords, vals, err := MDSEmbed(m.Rows(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestPublicPairwiseEMDAndMDS(t *testing.T) {
 }
 
 // TestPublicTiledPairwiseAndShardMerge exercises the tiled surface the
-// way a corpus-scale caller would: full tiled matrix == legacy shim
-// output bit-for-bit, MDS accepts the Rows() view, and a 2-shard
+// way a corpus-scale caller would: full tiled matrix == pair-by-pair EMD
+// bit-for-bit, MDS accepts the Rows() view, and a 2-shard
 // compute → MergePairwise run reproduces the matrix exactly.
 func TestPublicTiledPairwiseAndShardMerge(t *testing.T) {
 	rng := randx.New(3)
@@ -177,11 +177,15 @@ func TestPublicTiledPairwiseAndShardMerge(t *testing.T) {
 		}
 		seq = append(seq, BagFromScalars(ts, vals))
 	}
-	legacy, err := PairwiseEMD(NewHistogramBuilder(-5, 15, 40), seq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	factory := HistogramFactory(-5, 15, 40)
+	sigs := make([]Signature, len(seq))
+	for i, b := range seq {
+		sig, err := factory(1).Build(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigs[i] = sig.Normalized()
+	}
 	m, err := PairwiseEMDTiled(seq,
 		WithPairBuilderFactory(factory, 1),
 		WithTileSize(4),
@@ -190,10 +194,14 @@ func TestPublicTiledPairwiseAndShardMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range legacy {
-		for j := range legacy[i] {
-			if m.At(i, j) != legacy[i][j] {
-				t.Fatalf("tiled cell (%d,%d) = %g, legacy = %g", i, j, m.At(i, j), legacy[i][j])
+	for i := range sigs {
+		for j := i + 1; j < len(sigs); j++ {
+			d, err := EMD(sigs[i], sigs[j], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.At(i, j) != d || m.At(j, i) != d {
+				t.Fatalf("tiled cells (%d,%d)/(%d,%d) = %g/%g, pairwise EMD = %g", i, j, j, i, m.At(i, j), m.At(j, i), d)
 			}
 		}
 	}
@@ -257,7 +265,7 @@ func TestLearnFeatureWeightsFacade(t *testing.T) {
 	// The wrapped builder must be usable in a Config.
 	points, err := Run(Config{
 		Tau: 4, TauPrime: 4,
-		Builder:   sel.Builder(NewKMeansBuilder(4, 1)),
+		Builder:   sel.Builder(KMeansFactory(4)(1)),
 		Bootstrap: BootstrapConfig{Replicates: 80},
 	}, seq)
 	if err != nil {
@@ -304,7 +312,7 @@ func TestBagAndSignatureJSONRoundTrip(t *testing.T) {
 		t.Fatalf("bag round trip: %+v", back)
 	}
 
-	sig, err := NewKMeansBuilder(2, 1).Build(b)
+	sig, err := KMeansFactory(2)(1).Build(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,42 +445,9 @@ func TestNewEngineOptionValidation(t *testing.T) {
 		t.Error("missing tau should fail")
 	}
 	if _, err := NewEngine(
-		WithTau(3), WithTauPrime(1), WithScore(ScoreLR),
+		WithTau(3), WithTauPrime(1), WithStatistic("lr"),
 		WithBuilderFactory(HistogramFactory(0, 1, 4)),
 	); err == nil {
-		t.Error("ScoreLR with TauPrime < 2 should fail")
-	}
-}
-
-// TestDeprecatedBuildersUnchanged: the deprecated seed-taking builder
-// constructors now route through the factories and must behave exactly
-// as a direct factory call.
-func TestDeprecatedBuildersUnchanged(t *testing.T) {
-	pts := make([][]float64, 40)
-	rng := randx.New(3)
-	for i := range pts {
-		pts[i] = []float64{rng.Normal(0, 1), rng.Normal(2, 1)}
-	}
-	b := NewBag(0, pts)
-	old, err := NewKMeansBuilder(4, 9).Build(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFactory, err := KMeansFactory(4)(9).Build(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old.Centers) != len(viaFactory.Centers) {
-		t.Fatalf("cluster counts differ: %d vs %d", len(old.Centers), len(viaFactory.Centers))
-	}
-	for i := range old.Centers {
-		for j := range old.Centers[i] {
-			if old.Centers[i][j] != viaFactory.Centers[i][j] {
-				t.Fatal("deprecated builder diverged from factory")
-			}
-		}
-		if old.Weights[i] != viaFactory.Weights[i] {
-			t.Fatal("deprecated builder weights diverged from factory")
-		}
+		t.Error("lr with TauPrime < 2 should fail")
 	}
 }
