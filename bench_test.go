@@ -132,9 +132,9 @@ func BenchmarkEMDSimplexK16(b *testing.B) { benchmarkEMD(b, 16, 2) }
 func BenchmarkEMDSimplexK32(b *testing.B) { benchmarkEMD(b, 32, 2) }
 func BenchmarkEMDSimplexK64(b *testing.B) { benchmarkEMD(b, 64, 2) }
 
-// The large-signature sizes are where the block-pricing path takes over
-// (K >= emd.DefaultLargeThreshold); BENCH_PR5.json records the
-// before/after comparison against the classic full-refill solver.
+// The large-signature sizes; BENCH_PR5.json records the block-pricing
+// before/after comparison against the retired full-refill solver, and
+// BENCH_PR14.json the one-path rows at every K.
 func BenchmarkEMDSimplexK128(b *testing.B) { benchmarkEMD(b, 128, 2) }
 func BenchmarkEMDSimplexK256(b *testing.B) { benchmarkEMD(b, 256, 2) }
 func BenchmarkEMDSimplexK512(b *testing.B) { benchmarkEMD(b, 512, 2) }

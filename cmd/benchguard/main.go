@@ -7,7 +7,7 @@
 // Usage:
 //
 //	go test -run xxx -bench 'BenchmarkEMDSimplexK(128|256|512)$' -benchtime 10x -count 3 . \
-//	  | go run ./cmd/benchguard -baseline BENCH_PR5.json
+//	  | go run ./cmd/benchguard -baseline BENCH_PR14.json
 //
 // Benchmarks present in the input but absent from the baseline (and vice
 // versa) are skipped — the gate only judges the overlap, so one baseline

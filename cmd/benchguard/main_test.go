@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,5 +93,34 @@ func TestRunErrorsWithoutOverlapOrInput(t *testing.T) {
 	}
 	if err := run(filepath.Join(t.TempDir(), "missing.json"), 15, strings.NewReader(sampleBench), &out); err == nil {
 		t.Error("want error for missing baseline file")
+	}
+}
+
+// TestGateOnlyTightens pins the rule for replacing the CI baseline: the
+// file CI gates against (BENCH_PR14.json) must carry every row the
+// previous baseline (BENCH_PR6.json) gated, none of them looser.
+func TestGateOnlyTightens(t *testing.T) {
+	load := func(name string) baselineFile {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b baselineFile
+		if err := json.Unmarshal(raw, &b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return b
+	}
+	prev, cur := load("BENCH_PR6.json"), load("BENCH_PR14.json")
+	for name, p := range prev.Benchmarks {
+		c, ok := cur.Benchmarks[name]
+		if !ok {
+			t.Errorf("%s: gated by BENCH_PR6.json but missing from BENCH_PR14.json", name)
+			continue
+		}
+		if c.AfterNsOp > p.AfterNsOp {
+			t.Errorf("%s: baseline loosened from %.0f to %.0f ns/op", name, p.AfterNsOp, c.AfterNsOp)
+		}
 	}
 }

@@ -9,7 +9,7 @@
 //	repro -exp ablation        # the DESIGN.md §5 design-choice studies
 //	repro -exp engine          # multi-stream engine scale-out demo
 //	repro -exp pairwise        # tiled + sharded pairwise-EMD demo
-//	repro -exp solverscale     # classic vs block-pricing EMD solver study
+//	repro -exp solverscale     # block-pricing EMD solver scaling study
 //	repro -exp distprofile     # offline distance-profile segmentation demo
 //
 // The pairwise experiment also exposes the multi-process sharding flow:

@@ -79,16 +79,6 @@ type Config struct {
 	// EMD a proper metric between the bag distributions and is the
 	// behaviour used for all reproduced experiments.
 	RawMass bool
-	// EMDLargeK overrides the signature size at which the detector's EMD
-	// solver switches to the block-pricing large-signature path: 0
-	// selects emd.DefaultLargeThreshold (128), a negative value pins the
-	// classic solver at every size, and a positive value is the
-	// threshold. Both paths return the same optimal EMD to rounding, but
-	// on degenerate instances they may settle on different equally
-	// optimal bases whose costs differ in the last bits — so the
-	// threshold is part of the engine snapshot fingerprint and must be
-	// held fixed wherever bit-identical scores are promised.
-	EMDLargeK int
 	// EMDCostCacheSlots sizes the detector's ground-cost cache: the w−1
 	// EMD solves per push share the incoming signature's cost rows, and
 	// stable-support builders (histogram, grid) share one matrix across
@@ -98,12 +88,12 @@ type Config struct {
 	// support set per bag, so the window's pairs overwhelm the default
 	// slots and hits are rare while every solve still pays the support
 	// hash; streams where that overhead is measurable (see
-	// BenchmarkDetectorPushMixedSupport) should set this negative. Unlike
-	// EMDLargeK this knob is deliberately NOT part of the snapshot
-	// fingerprint: the cache is bit-transparent (stored costs are the
-	// exact floats the ground function returned and the solver replays
-	// the identical comparison sequence), so scores are the same bits
-	// with the cache on or off.
+	// BenchmarkDetectorPushMixedSupport) should set this negative. This
+	// knob is deliberately NOT part of the snapshot fingerprint: the
+	// cache is bit-transparent (stored costs are the exact floats the
+	// ground function returned and the solver replays the identical
+	// comparison sequence), so scores are the same bits with the cache
+	// on or off.
 	EMDCostCacheSlots int
 	// Seed drives the bootstrap resampling (and nothing else).
 	Seed int64
@@ -209,7 +199,7 @@ func New(cfg Config) (*Detector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	solverOpts := []emd.SolverOption{emd.WithLargeThreshold(cfg.EMDLargeK)}
+	var solverOpts []emd.SolverOption
 	if cfg.EMDCostCacheSlots >= 0 {
 		solverOpts = append(solverOpts, emd.WithCostCache(cfg.EMDCostCacheSlots))
 	}

@@ -123,7 +123,6 @@ type pairwiseCfg struct {
 	factorySeed int64
 	ground      emd.Ground
 	rawMass     bool
-	largeK      int   // emd.WithLargeThreshold for every worker solver
 	cacheSlots  int   // ground-cost cache slots per worker; < 0 disables
 	err         error // first option error, reported at the call site
 }
@@ -204,18 +203,6 @@ func WithPairRawMass(raw bool) PairwiseOpt {
 	return func(c *pairwiseCfg) { c.rawMass = raw }
 }
 
-// WithPairEMDLargeThreshold sets the signature size at which every
-// worker's EMD solver switches to the block-pricing large-signature
-// path: 0 (the default) selects emd.DefaultLargeThreshold, negative
-// pins the classic solver. Both paths compute the same optimal EMD to
-// rounding, but degenerate instances may settle on bases whose costs
-// differ in the last bits, so all shards of one sharded run must use
-// the same threshold for the merged matrix to be bit-identical to a
-// single-process run.
-func WithPairEMDLargeThreshold(k int) PairwiseOpt {
-	return func(c *pairwiseCfg) { c.largeK = k }
-}
-
 // WithPairEMDCostCache sizes the ground-cost cache each worker solver
 // holds: a tile revisits its ≤2T resident signatures O(T) times, so
 // cached cost rows turn most of a tile's ground-distance work into
@@ -224,8 +211,7 @@ func WithPairEMDLargeThreshold(k int) PairwiseOpt {
 // emd.DefaultCostCacheSlots, a positive value is the per-worker slot
 // count, and a negative value disables caching. The cache is
 // bit-transparent — the matrix is identical with caching on or off —
-// so unlike the large threshold it does not have to agree across the
-// shards of a sharded run.
+// so it does not have to agree across the shards of a sharded run.
 func WithPairEMDCostCache(n int) PairwiseOpt {
 	return func(c *pairwiseCfg) { c.cacheSlots = n }
 }
@@ -405,7 +391,7 @@ func computeTiles(sigs []signature.Signature, flat []float64, packed [][]float64
 		dim = sigs[0].Dim()
 	}
 	newWorkerSolver := func() *emd.Solver {
-		sv := emd.NewSolver(emd.WithLargeThreshold(cfg.largeK))
+		sv := emd.NewSolver()
 		if cfg.cacheSlots >= 0 {
 			cc := emd.NewCostCache(cfg.cacheSlots)
 			cc.Prewarm(maxLen, dim)

@@ -35,15 +35,14 @@ import (
 // versions: the snapshot encodes internal stream positions whose meaning
 // is tied to the code that wrote them.
 //
-// v2 added the EMD large-path threshold (emd_large_k) to the
-// fingerprint AND changed what a default configuration computes:
-// detectors now auto-route signatures at or above
-// emd.DefaultLargeThreshold through the block-pricing solver, whose
-// optimal cost can differ from the classic path's in the last bits on
-// degenerate instances. A v1 envelope restored here could therefore
-// diverge from its source run without any fingerprint field
-// disagreeing, so v1 is refused outright — a loud re-run beats a
-// silent drift.
+// v2 added the EMD large-path threshold to the fingerprint AND changed
+// what a default configuration computes: detectors auto-routed
+// signatures of 128 or more centers through the block-pricing solver,
+// whose optimal cost can differ from the classic path's in the last
+// bits on degenerate instances. A v1 envelope restored here could
+// therefore diverge from its source run without any fingerprint field
+// disagreeing, so v1 is refused outright — a loud re-run beats a silent
+// drift.
 //
 // v3 changed the large path's pricing from per-row candidate lists to
 // per-block candidate queues with a cyclic drain cursor. The pivot
@@ -68,7 +67,17 @@ import (
 // with a v4 writer. The JSON key is "statistic" and the legacy "score"
 // key is gone, so a v3 envelope also cannot masquerade as v4 by version
 // edits alone without its fingerprint going visibly blank.
-const SnapshotVersion = 4
+//
+// v5 made block pricing the only simplex: every EMD solve, at every
+// signature size, now runs the pricing that v2–v4 used only at or above
+// the large-path threshold (128 by default), and the threshold and its
+// fingerprint field are gone. A v4 envelope from a stream whose
+// signatures were smaller than the threshold was scored on the retired
+// full-refill simplex, which can settle degenerate instances on a
+// different equally-optimal basis, so restoring it here could move the
+// last bits of its scores with no fingerprint field disagreeing. v4
+// envelopes are refused outright, as v1–v3 were.
+const SnapshotVersion = 5
 
 // SignatureState is one window signature in serializable form.
 type SignatureState struct {
@@ -168,6 +177,11 @@ func (d *Detector) RestoreSnapshot(st *DetectorState) error {
 			return fmt.Errorf("core: snapshot window signature %d: %w", i, err)
 		}
 	}
+	for i := 1; i < len(st.History); i++ {
+		if st.History[i].T <= st.History[i-1].T {
+			return fmt.Errorf("core: snapshot history times must strictly increase, got t=%d after t=%d", st.History[i].T, st.History[i-1].T)
+		}
+	}
 	snap, stateful := d.cfg.Builder.(signature.RNGSnapshotter)
 	if stateful && st.BuilderRNG == nil {
 		return fmt.Errorf("core: snapshot lacks builder RNG state but the detector's builder is randomized — snapshot and detector configurations disagree")
@@ -228,7 +242,6 @@ type EngineSnapshot struct {
 	LogFloor   float64 `json:"log_floor"`
 	Replicates int     `json:"replicates"`
 	Alpha      float64 `json:"alpha"`
-	EMDLargeK  int     `json:"emd_large_k,omitempty"`
 	BuilderTag string  `json:"builder_tag,omitempty"`
 	// Mark is the engine's mutation counter at capture time. Feed it back
 	// to Engine.SnapshotDelta (or GET /v1/snapshot?since=mark) to get
@@ -318,15 +331,14 @@ func (e *Engine) fingerprint() EngineSnapshot {
 		LogFloor:   t.LogFloor,
 		Replicates: t.Bootstrap.Replicates,
 		Alpha:      t.Bootstrap.Alpha,
-		EMDLargeK:  t.EMDLargeK,
 		BuilderTag: e.cfg.BuilderTag,
 	}
 }
 
 // ValidateSnapshot checks that snap could be restored onto this engine —
-// the schema version is readable and the configuration fingerprint
+// the schema version is readable, the configuration fingerprint
 // (seed, τ, τ′, statistic name, weighting, raw-mass, log-floor,
-// replicates, α, EMD large-path threshold, builder tag) matches —
+// replicates, α, builder tag) matches, and no stream is named twice —
 // without touching any state. A server front-end
 // calls it BEFORE tearing down live streams, so a rejected envelope
 // leaves the receiving engine exactly as it was.
@@ -338,12 +350,20 @@ func (e *Engine) ValidateSnapshot(snap *EngineSnapshot) error {
 	mismatch := snap.Seed != want.Seed || snap.Tau != want.Tau || snap.TauPrime != want.TauPrime ||
 		snap.Statistic != want.Statistic || snap.Weighting != want.Weighting || snap.RawMass != want.RawMass ||
 		snap.LogFloor != want.LogFloor || snap.Replicates != want.Replicates || snap.Alpha != want.Alpha ||
-		snap.EMDLargeK != want.EMDLargeK || snap.BuilderTag != want.BuilderTag
+		snap.BuilderTag != want.BuilderTag
 	if mismatch {
 		got := *snap
 		got.Streams = nil
 		want.Streams = nil
 		return fmt.Errorf("core: snapshot configuration %+v does not match engine configuration %+v", got, want)
+	}
+	seen := make(map[string]bool, len(snap.Streams))
+	for i := range snap.Streams {
+		id := snap.Streams[i].ID
+		if seen[id] {
+			return fmt.Errorf("core: snapshot names stream %q twice", id)
+		}
+		seen[id] = true
 	}
 	return nil
 }
@@ -496,13 +516,8 @@ func (e *Engine) RestoreStreams(snap *EngineSnapshot) error {
 	if len(snap.Streams) == 0 {
 		return nil
 	}
-	seen := make(map[string]bool, len(snap.Streams))
 	for i := range snap.Streams {
 		id := snap.Streams[i].ID
-		if seen[id] {
-			return fmt.Errorf("core: RestoreStreams: envelope names stream %q twice", id)
-		}
-		seen[id] = true
 		if _, open := e.Get(id); open {
 			return fmt.Errorf("core: RestoreStreams: stream %q is already open on this engine", id)
 		}

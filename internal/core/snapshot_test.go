@@ -238,15 +238,6 @@ func TestEngineRestoreValidation(t *testing.T) {
 		if err := newTestEngine(t, factory, 1).Restore(&bad); err == nil {
 			t.Fatal("expected builder tag mismatch error")
 		}
-		// The EMD large-path threshold selects which (equally optimal)
-		// basis degenerate instances settle on, so engines that disagree
-		// on it must refuse each other's snapshots instead of silently
-		// diverging in the last bits.
-		bad = *snap
-		bad.EMDLargeK = 64
-		if err := newTestEngine(t, factory, 1).Restore(&bad); err == nil {
-			t.Fatal("expected EMD large-threshold mismatch error")
-		}
 	})
 	t.Run("v3-envelope-refused", func(t *testing.T) {
 		// A v3 envelope — Version 3, integer "score" fingerprint field,
@@ -275,8 +266,51 @@ func TestEngineRestoreValidation(t *testing.T) {
 		if err == nil {
 			t.Fatal("v3 envelope accepted")
 		}
-		if want := "snapshot version 3, this engine reads version 4"; !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("snapshot version 3, this engine reads version %d", SnapshotVersion); !strings.Contains(err.Error(), want) {
 			t.Fatalf("v3 refusal error %q does not name the versions (%q)", err, want)
+		}
+	})
+	t.Run("v4-envelope-refused", func(t *testing.T) {
+		// A v4 envelope may carry scores from the retired full-refill
+		// simplex (every stream whose signatures were below the old
+		// 128-center threshold). It must be refused by version — by
+		// ValidateSnapshot, Restore and RestoreStreams alike — with an
+		// error naming both versions, even though every remaining
+		// fingerprint field still matches.
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire map[string]json.RawMessage
+		if err := json.Unmarshal(blob, &wire); err != nil {
+			t.Fatal(err)
+		}
+		wire["version"] = json.RawMessage("4")
+		legacy, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old EngineSnapshot
+		if err := json.Unmarshal(legacy, &old); err != nil {
+			t.Fatal(err)
+		}
+		want := "snapshot version 4, this engine reads version 5"
+		target := newTestEngine(t, factory, 1)
+		for name, apply := range map[string]func(*EngineSnapshot) error{
+			"ValidateSnapshot": target.ValidateSnapshot,
+			"Restore":          target.Restore,
+			"RestoreStreams":   target.RestoreStreams,
+		} {
+			err := apply(&old)
+			if err == nil {
+				t.Fatalf("%s accepted a v4 envelope", name)
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: v4 refusal error %q does not name the versions (%q)", name, err, want)
+			}
+		}
+		if n := target.Len(); n != 0 {
+			t.Fatalf("refused v4 envelope left %d streams open", n)
 		}
 	})
 	t.Run("statistic-mismatch", func(t *testing.T) {
@@ -321,6 +355,34 @@ func TestEngineRestoreValidation(t *testing.T) {
 		target := newTestEngine(t, factory, 1)
 		if err := target.Restore(&bad); err == nil {
 			t.Fatal("expected matrix shape error")
+		}
+	})
+	// Both refusals below were found by FuzzRestoreSnapshot: each input
+	// restored "successfully" but a Snapshot of the result differed from
+	// the envelope (one stream instead of two, one interval instead of
+	// two), i.e. Restore silently dropped state.
+	t.Run("duplicate-stream", func(t *testing.T) {
+		bad := *snap
+		bad.Streams = []StreamSnapshot{snap.Streams[0], snap.Streams[0]}
+		target := newTestEngine(t, factory, 1)
+		if err := target.ValidateSnapshot(&bad); err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Fatalf("expected ValidateSnapshot to refuse a duplicate stream, got %v", err)
+		}
+		if err := target.Restore(&bad); err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Fatalf("expected duplicate-stream refusal, got %v", err)
+		}
+	})
+	t.Run("history-order", func(t *testing.T) {
+		bad := *snap
+		bad.Streams = append([]StreamSnapshot(nil), snap.Streams...)
+		det := bad.Streams[0].Detector
+		if len(det.History) == 0 {
+			t.Fatal("fixture has no interval history")
+		}
+		det.History = append([]IntervalState{det.History[0]}, det.History...)
+		bad.Streams[0].Detector = det
+		if err := newTestEngine(t, factory, 1).Restore(&bad); err == nil || !strings.Contains(err.Error(), "strictly increase") {
+			t.Fatalf("expected history-order refusal, got %v", err)
 		}
 	})
 }

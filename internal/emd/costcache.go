@@ -21,10 +21,11 @@ import (
 // A CostCache keys lazily-filled cost matrices on a content hash of the
 // filtered support points (collision-checked by bitwise comparison, so a
 // hash collision degrades to a miss, never a wrong matrix). Rows are
-// stored at the granularity the solver computes them — whole rows on the
-// classic path and on large-path block refills, single cells for the
-// large path's NW-corner basis costs — so a warm re-solve of the same
-// supports performs ZERO ground evaluations on either simplex path.
+// stored at the granularity the solver computes them — whole rows on
+// block refills, single cells for the NW-corner basis costs — so a warm
+// re-solve of the same supports performs ZERO ground evaluations, and a
+// cold solve evaluates each cell once (a row fill reuses the basis cells
+// already stored).
 //
 // The cache is bit-transparent: a stored value is the float the ground
 // function returned, the solver replays the identical maxCost-tracking

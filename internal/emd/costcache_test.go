@@ -20,8 +20,9 @@ func identityIdx(n int) []int {
 }
 
 // TestCostCacheBitIdentity is the cache's core contract as a property
-// test: with the cache on, every solve — cold store or warm serve, on
-// either simplex path, under either ground, on random as well as
+// test: with the cache on, every solve — cold store or warm serve, at
+// the default and the finest pricing block, under either ground, on
+// random as well as
 // builder-shaped (histogram/grid) signatures — returns floats
 // bit-identical to the uncached solver. This is what licenses keeping
 // EMDCostCacheSlots out of the snapshot fingerprint.
@@ -74,8 +75,8 @@ func TestCostCacheBitIdentity(t *testing.T) {
 		name string
 		opt  SolverOption
 	}{
-		{"classic", WithLargeThreshold(-1)},
-		{"large", WithLargeThreshold(1)},
+		{"block16", WithPricingBlock(DefaultPricingBlock)},
+		{"block1", WithPricingBlock(1)},
 	}
 
 	for _, path := range paths {
@@ -106,16 +107,16 @@ func TestCostCacheBitIdentity(t *testing.T) {
 
 // TestCostCacheWarmResolveZeroGroundEvals pins the amortization claim
 // itself: a warm re-solve of the same support pair performs ZERO ground
-// evaluations on both simplex paths — row fills hit rowDone and the
-// large path's NW-corner basis costs hit cellDone.
+// evaluations at any pricing block — row fills hit rowDone and the
+// NW-corner basis costs hit cellDone.
 func TestCostCacheWarmResolveZeroGroundEvals(t *testing.T) {
 	rng := randx.New(33)
 	for _, tc := range []struct {
 		name string
 		opt  SolverOption
 	}{
-		{"classic", WithLargeThreshold(-1)},
-		{"large", WithLargeThreshold(1)},
+		{"block16", WithPricingBlock(DefaultPricingBlock)},
+		{"block1", WithPricingBlock(1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sv := NewSolver(tc.opt, WithCostCache(2))
@@ -152,6 +153,49 @@ func TestCostCacheWarmResolveZeroGroundEvals(t *testing.T) {
 	}
 }
 
+// TestCostCacheColdSolveEvaluatesEachCellOnce pins the cold-solve
+// count: every row is filled by the time the optimality sweep finishes,
+// and a row fill reuses the NW-corner basis cells lazyCost already
+// stored, so a cold cached solve evaluates exactly m0·n0 ground
+// distances — none twice, and none for the zero-cost dummy column or
+// row that balances unequal masses.
+func TestCostCacheColdSolveEvaluatesEachCellOnce(t *testing.T) {
+	rng := randx.New(1792)
+	for _, tc := range []struct {
+		name           string
+		kS, kT         int
+		totalS, totalT float64
+	}{
+		{"balanced-16x16", 16, 16, 1, 1},
+		{"dummy-col-16x9", 16, 9, 2, 1},
+		{"dummy-row-7x16", 7, 16, 0.5, 1.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := fuzzSig(rng, uint8(tc.kS-1), 3, 0, tc.totalS) // exactly kS entries
+			u := fuzzSig(rng, uint8(tc.kT-1), 3, 0, tc.totalT)
+			want, err := NewSolver().Distance(s, u, Euclidean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv := NewSolver(WithCostCache(1))
+			got, err := sv.Distance(s, u, Euclidean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("cached %.17g != uncached %.17g", got, want)
+			}
+			st := sv.Stats()
+			if cells := tc.kS * tc.kT; st.GroundEvals != cells {
+				t.Errorf("cold solve: %d ground evals, want %d (one per real cell)", st.GroundEvals, cells)
+			}
+			if st.CacheMisses != st.GroundEvals {
+				t.Errorf("cold solve stored %d cells, evaluated %d: every evaluation is stored exactly once", st.CacheMisses, st.GroundEvals)
+			}
+		})
+	}
+}
+
 // TestCostCacheHashCollisionRejected is the collision-regression test:
 // when two distinct support pairs land on the same hash, the bitwise
 // support comparison must reject the stored entry (a collision degrades
@@ -163,13 +207,13 @@ func TestCostCacheHashCollisionRejected(t *testing.T) {
 	sA, uA := randomSig(rng, 2, 10, 1), randomSig(rng, 2, 10, 1)
 	sB, uB := randomSig(rng, 2, 10, 1), randomSig(rng, 2, 10, 1)
 
-	want, err := NewSolver(WithLargeThreshold(-1)).Distance(sB, uB, Euclidean)
+	want, err := NewSolver().Distance(sB, uB, Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cc := NewCostCache(4)
-	sv := NewSolver(WithLargeThreshold(-1))
+	sv := NewSolver()
 	sv.SetCostCache(cc)
 	if _, err := sv.DistanceCached(sA, uA, Euclidean); err != nil {
 		t.Fatal(err)
@@ -205,9 +249,9 @@ func TestCostCacheHashCollisionRejected(t *testing.T) {
 func TestCostCacheLRUEviction(t *testing.T) {
 	rng := randx.New(7)
 	cc := NewCostCache(2)
-	sv := NewSolver(WithLargeThreshold(-1))
+	sv := NewSolver()
 	sv.SetCostCache(cc)
-	ref := NewSolver(WithLargeThreshold(-1))
+	ref := NewSolver()
 
 	type pair struct {
 		s, u signature.Signature

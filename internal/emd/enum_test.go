@@ -218,9 +218,14 @@ func TestExhaustiveSmallInstances(t *testing.T) {
 		{0, 1, 2, 3},     // equidistant: maximal reduced-cost ties
 		{0, 0, 1.5, 1.5}, // coincident pairs: zero-cost cells
 	}
-	classic := NewSolver(WithLargeThreshold(-1))
-	forced := NewSolver()
-	tiny := NewSolver(WithPricingBlock(1))
+	solvers := []struct {
+		name string
+		sv   *Solver
+	}{
+		{"default", NewSolver()},
+		{"block=1", NewSolver(WithPricingBlock(1))},
+		{"block=2", NewSolver(WithPricingBlock(2))},
+	}
 
 	instances := 0
 	for m := 1; m <= 4; m++ {
@@ -271,20 +276,14 @@ func TestExhaustiveSmallInstances(t *testing.T) {
 					g := Manhattan
 
 					want := bruteEMD(t, s, u, g)
-					for name, sv := range map[string]*Solver{"classic": classic, "large": forced, "large/block=1": tiny} {
-						var got float64
-						var err error
-						if name == "classic" {
-							got, err = sv.Distance(s, u, g)
-						} else {
-							got, err = sv.DistanceLarge(s, u, g)
-						}
+					for _, sol := range solvers {
+						got, err := sol.sv.Distance(s, u, g)
 						if err != nil {
-							t.Fatalf("m=%d n=%d combo=%d layout=%d %s: %v", m, n, combo, li, name, err)
+							t.Fatalf("m=%d n=%d combo=%d layout=%d %s: %v", m, n, combo, li, sol.name, err)
 						}
 						if math.Abs(got-want) > 1e-8*(1+want) {
 							t.Fatalf("m=%d n=%d combo=%d layout=%d %s: got %.15g, brute-force optimum %.15g (sw=%v tw=%v)",
-								m, n, combo, li, name, got, want, sw, tw)
+								m, n, combo, li, sol.name, got, want, sw, tw)
 						}
 					}
 					instances++

@@ -8,12 +8,14 @@ import (
 	"repro/internal/signature"
 )
 
-// Differential fuzzing of the block-pricing solver rework. The fuzzers
-// decode a compact parameter tuple into a random signature pair —
-// K ∈ [1,64] per side, dimensions 1-3, optional zero-weight entries,
-// RawMass on/off — and cross-check every solver entry point against the
+// Differential fuzzing of the block-pricing solver. The fuzzers decode
+// a compact parameter tuple into a random signature pair — K ∈ [1,64]
+// per side, dimensions 1-3, optional zero-weight entries, RawMass
+// on/off — and cross-check every solver entry point against the
 // retained seed-reference simplex (referenceSolveTransport in
-// solver_test.go), asserting optimal-cost equality within 1e-9 and the
+// solver_test.go), every pricing block size against it, cached against
+// uncached solves bit for bit, swapped arguments, and (in 1-D) the
+// closed form, asserting optimal-cost equality within 1e-9 and the
 // absence of panics. Run them continuously with:
 //
 //	go test -fuzz=FuzzSolverDistance ./internal/emd
@@ -85,24 +87,18 @@ func FuzzSolverDistance(f *testing.F) {
 		want := referenceEMD(t, s, u, g)
 		tol := 1e-9 * (1 + math.Abs(want))
 
-		classic, err := NewSolver(WithLargeThreshold(-1)).Distance(s, u, g)
-		if err != nil {
-			t.Fatalf("classic solver: %v", err)
-		}
-		if math.Abs(classic-want) > tol {
-			t.Fatalf("classic solver %.17g vs reference %.17g (Δ=%g)", classic, want, classic-want)
-		}
-
-		large, err := NewSolver().DistanceLarge(s, u, g)
+		dist, err := NewSolver().Distance(s, u, g)
 		if err != nil {
 			t.Fatalf("block-pricing solver: %v", err)
 		}
-		if math.Abs(large-want) > tol {
-			t.Fatalf("block-pricing solver %.17g vs reference %.17g (Δ=%g)", large, want, large-want)
+		if math.Abs(dist-want) > tol {
+			t.Fatalf("block-pricing solver %.17g vs reference %.17g (Δ=%g)", dist, want, dist-want)
 		}
 
-		// Exotic pricing blocks must not change the optimum either.
-		blocky, err := NewSolver(WithPricingBlock(1+int(kS)%7)).DistanceLarge(s, u, g)
+		// Exotic pricing blocks must not change the optimum either: the
+		// block size picks the pivot order, so it is the differential
+		// partner of the default solver.
+		blocky, err := NewSolver(WithPricingBlock(1+int(kS)%7)).Distance(s, u, g)
 		if err != nil {
 			t.Fatalf("block-pricing solver (block=%d): %v", 1+int(kS)%7, err)
 		}
@@ -110,7 +106,7 @@ func FuzzSolverDistance(f *testing.F) {
 			t.Fatalf("block-pricing solver (block=%d) %.17g vs reference %.17g", 1+int(kS)%7, blocky, want)
 		}
 
-		// The pooled package-level entry point (auto dispatch) too.
+		// The pooled package-level entry point too.
 		pkg, err := Distance(s, u, g)
 		if err != nil {
 			t.Fatalf("package Distance: %v", err)
@@ -119,29 +115,25 @@ func FuzzSolverDistance(f *testing.F) {
 			t.Fatalf("package Distance %.17g vs reference %.17g", pkg, want)
 		}
 
-		// Ground-cost caching must be bit-transparent on BOTH simplex
-		// paths: solve each fuzzed pair twice on a cached solver — the
+		// Ground-cost caching must be bit-transparent at any pricing
+		// block: solve each fuzzed pair twice on a cached solver — the
 		// cold solve stores the cost matrix, the warm solve is served
 		// entirely from it — and require exact equality with the
 		// uncached value both times.
-		cc := NewSolver(WithLargeThreshold(-1), WithCostCache(2))
-		for pass := 0; pass < 2; pass++ {
-			got, err := cc.DistanceCached(s, u, g)
-			if err != nil {
-				t.Fatalf("cached classic (pass %d): %v", pass, err)
-			}
-			if got != classic {
-				t.Fatalf("cached classic (pass %d) %.17g != uncached %.17g (cache must be bit-transparent)", pass, got, classic)
-			}
-		}
-		cl := NewSolver(WithLargeThreshold(1), WithCostCache(2))
-		for pass := 0; pass < 2; pass++ {
-			got, err := cl.DistanceCached(s, u, g)
-			if err != nil {
-				t.Fatalf("cached block-pricing (pass %d): %v", pass, err)
-			}
-			if got != large {
-				t.Fatalf("cached block-pricing (pass %d) %.17g != uncached %.17g (cache must be bit-transparent)", pass, got, large)
+		for _, v := range []struct {
+			name     string
+			block    int
+			uncached float64
+		}{{"default block", 0, dist}, {"exotic block", 1 + int(kS)%7, blocky}} {
+			cs := NewSolver(WithPricingBlock(v.block), WithCostCache(2))
+			for pass := 0; pass < 2; pass++ {
+				got, err := cs.DistanceCached(s, u, g)
+				if err != nil {
+					t.Fatalf("cached %s (pass %d): %v", v.name, pass, err)
+				}
+				if got != v.uncached {
+					t.Fatalf("cached %s (pass %d) %.17g != uncached %.17g (cache must be bit-transparent)", v.name, pass, got, v.uncached)
+				}
 			}
 		}
 
@@ -186,15 +178,15 @@ func FuzzSolverDistance(f *testing.F) {
 		}
 
 		// Basic metric sanity on every fuzzed instance.
-		if large < -tol || math.IsNaN(large) || math.IsInf(large, 0) {
-			t.Fatalf("block-pricing solver returned %g", large)
+		if dist < -tol || math.IsNaN(dist) || math.IsInf(dist, 0) {
+			t.Fatalf("block-pricing solver returned %g", dist)
 		}
-		back, err := NewSolver().DistanceLarge(u, s, g)
+		back, err := NewSolver().Distance(u, s, g)
 		if err != nil {
 			t.Fatalf("reverse: %v", err)
 		}
-		if math.Abs(back-large) > 1e-7*(1+large) {
-			t.Fatalf("asymmetry: %.17g forward vs %.17g reverse", large, back)
+		if math.Abs(back-dist) > 1e-7*(1+dist) {
+			t.Fatalf("asymmetry: %.17g forward vs %.17g reverse", dist, back)
 		}
 	})
 }
@@ -218,7 +210,8 @@ func FuzzDistance1D(f *testing.F) {
 		}
 
 		// Distance must route balanced 1-D Euclidean pairs to the same
-		// closed form, bit for bit, on both solver configurations.
+		// closed form, bit for bit, through the pooled entry point with
+		// an implicit ground and a held solver with an explicit one.
 		auto, err := Distance(s, u, nil)
 		if err != nil {
 			t.Fatalf("Distance: %v", err)
@@ -226,23 +219,23 @@ func FuzzDistance1D(f *testing.F) {
 		if auto != closed {
 			t.Fatalf("Distance %.17g != Distance1D %.17g", auto, closed)
 		}
-		forced, err := NewSolver().DistanceLarge(s, u, Euclidean)
+		held, err := NewSolver().Distance(s, u, Euclidean)
 		if err != nil {
-			t.Fatalf("DistanceLarge: %v", err)
+			t.Fatalf("Solver.Distance: %v", err)
 		}
-		if forced != closed {
-			t.Fatalf("DistanceLarge %.17g != Distance1D %.17g", forced, closed)
+		if held != closed {
+			t.Fatalf("Solver.Distance %.17g != Distance1D %.17g", held, closed)
 		}
 
 		// Against the seed-reference simplex: the closed form and the
 		// simplex are different algorithms, so the contract is 1e-7
-		// (see TestSolver1DFastPathMatchesSimplex); the simplex paths
-		// themselves must agree with the reference at 1e-9.
+		// (see TestSolver1DFastPathMatchesSimplex); the simplex itself
+		// must agree with the reference at 1e-9.
 		want := referenceEMD(t, s, u, Euclidean)
 		if math.Abs(closed-want) > 1e-7*(1+want) {
 			t.Fatalf("closed form %.17g vs reference simplex %.17g", closed, want)
 		}
-		viaSimplex, err := NewSolver().DistanceLarge(s, u, Manhattan) // 1-D: L1 == L2 ground, but forces the simplex
+		viaSimplex, err := NewSolver().Distance(s, u, Manhattan) // 1-D: L1 == L2 ground, but forces the simplex
 		if err != nil {
 			t.Fatalf("simplex route: %v", err)
 		}

@@ -8,56 +8,15 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestDistanceLargeMatchesClassic is the core conformance property of
-// the block-pricing rework: on any instance, the large path and the
-// classic path find the same optimal cost (the bases may differ on
-// degenerate instances, the objective may not). Random signatures
-// across sizes, dimensions, balanced/unbalanced mass, and grounds.
-func TestDistanceLargeMatchesClassic(t *testing.T) {
-	rng := randx.New(20250729)
-	classic := NewSolver(WithLargeThreshold(-1))
-	large := NewSolver()
-	for trial := 0; trial < 300; trial++ {
-		dim := 1 + rng.Intn(4)
-		maxLen := 1 + rng.Intn(24)
-		totalS, totalT := 1.0, 1.0
-		if trial%3 == 1 {
-			totalS = 0.5 + rng.Float64()*4
-			totalT = 0.5 + rng.Float64()*4
-		}
-		s := randomSig(rng, dim, maxLen, totalS)
-		u := randomSig(rng, dim, maxLen, totalT)
-		g := Euclidean
-		if trial%4 == 2 {
-			g = Manhattan
-		}
-		if dim == 1 && trial%2 == 0 {
-			g = Manhattan // force the simplex on half the 1-D instances
-		}
-		want, err := classic.Distance(s, u, g)
-		if err != nil {
-			t.Fatalf("trial %d: classic: %v", trial, err)
-		}
-		got, err := large.DistanceLarge(s, u, g)
-		if err != nil {
-			t.Fatalf("trial %d: DistanceLarge: %v", trial, err)
-		}
-		if math.Abs(got-want) > 1e-9*(1+want) {
-			t.Fatalf("trial %d (dim=%d): DistanceLarge %.15g vs classic %.15g", trial, dim, got, want)
-		}
-	}
-}
-
 // TestDistanceLargeMatchesReference pits the block-pricing solver
-// against the retained seed-reference simplex at sizes past the auto
-// threshold, where the classic comparison above never runs the forced
-// path through Distance's own dispatch.
+// against the retained seed-reference simplex at large K, where the
+// exhaustive and fuzzed small-instance checks do not reach.
 func TestDistanceLargeMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instances are slow under -short")
 	}
 	rng := randx.New(77)
-	sv := NewSolver() // default threshold: K >= 128 takes the large path
+	sv := NewSolver()
 	for _, k := range []int{130, 160, 200} {
 		s := randomSig(rng, 2, k, 1)
 		u := randomSig(rng, 2, k, 1)
@@ -67,62 +26,31 @@ func TestDistanceLargeMatchesReference(t *testing.T) {
 			t.Fatalf("K=%d: %v", k, err)
 		}
 		if math.Abs(got-want) > 1e-9*(1+want) {
-			t.Fatalf("K=%d: auto large path %.15g vs reference %.15g", k, got, want)
+			t.Fatalf("K=%d: block pricing %.15g vs reference %.15g", k, got, want)
 		}
 	}
 }
 
-// TestDistanceAutoSelectionBitMatchesForced documents the dispatch
-// contract: once a pair reaches the threshold, Distance runs exactly
-// the same block-pricing code as DistanceLarge — bit-identical values,
-// on warm and cold solvers alike (the pricing cursor is reset per
-// solve, so history cannot leak between calls).
-func TestDistanceAutoSelectionBitMatchesForced(t *testing.T) {
+// TestWarmSolverBitMatchesFresh documents the reuse contract: a solver
+// that has already run many solves of other sizes returns exactly the
+// bits a fresh solver returns (the pricing cursors and candidate queues
+// are reset per solve, so history cannot leak between calls).
+func TestWarmSolverBitMatchesFresh(t *testing.T) {
 	rng := randx.New(31)
-	// Threshold 1: every pair is large-eligible, so auto dispatch runs the
-	// block-pricing code on all trials (randomSig treats its size argument
-	// as a maximum — a higher threshold would silently route the short
-	// draws onto the classic path, which only promises tolerance-level
-	// agreement with the large path, not bit equality).
-	auto := NewSolver(WithLargeThreshold(1))
-	forced := NewSolver()
+	warm := NewSolver()
 	for trial := 0; trial < 50; trial++ {
 		s := randomSig(rng, 2, 12+rng.Intn(20), 1+rng.Float64())
 		u := randomSig(rng, 2, 12+rng.Intn(20), 1+rng.Float64())
-		a, err := auto.Distance(s, u, Euclidean)
+		w, err := warm.Distance(s, u, Euclidean)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := forced.DistanceLarge(s, u, Euclidean)
+		f, err := NewSolver().Distance(s, u, Euclidean)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != f {
-			t.Fatalf("trial %d: auto %.17g != forced %.17g", trial, a, f)
-		}
-	}
-}
-
-// TestDistanceLargeBelowThresholdUnchanged guards the other half of the
-// dispatch: below the threshold Distance must keep the classic path
-// bit-for-bit (the golden detector trace depends on it).
-func TestDistanceLargeBelowThresholdUnchanged(t *testing.T) {
-	rng := randx.New(32)
-	dflt := NewSolver()
-	off := NewSolver(WithLargeThreshold(-1))
-	for trial := 0; trial < 50; trial++ {
-		s := randomSig(rng, 2, 1+rng.Intn(40), 1)
-		u := randomSig(rng, 2, 1+rng.Intn(40), 1)
-		a, err := dflt.Distance(s, u, Euclidean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := off.Distance(s, u, Euclidean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("trial %d: default-threshold %.17g != large-disabled %.17g below threshold", trial, a, b)
+		if w != f {
+			t.Fatalf("trial %d: warm %.17g != fresh %.17g", trial, w, f)
 		}
 	}
 }
@@ -134,12 +62,12 @@ func TestDistanceLargePricingBlockInvariantCost(t *testing.T) {
 	rng := randx.New(33)
 	s := randomSig(rng, 3, 60, 1.5)
 	u := randomSig(rng, 3, 60, 0.8)
-	base, err := NewSolver().DistanceLarge(s, u, Euclidean)
+	base, err := NewSolver().Distance(s, u, Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range []int{1, 3, 7, 16, 64, 1024} {
-		got, err := NewSolver(WithPricingBlock(b)).DistanceLarge(s, u, Euclidean)
+		got, err := NewSolver(WithPricingBlock(b)).Distance(s, u, Euclidean)
 		if err != nil {
 			t.Fatalf("block=%d: %v", b, err)
 		}
@@ -149,12 +77,12 @@ func TestDistanceLargePricingBlockInvariantCost(t *testing.T) {
 	}
 }
 
-// TestDistanceFlowLargePath checks the flow variant through the large
-// path: the flow matrix must satisfy the transportation constraints and
-// price out to the returned cost.
+// TestDistanceFlowLargePath checks the flow variant: the flow matrix
+// must satisfy the transportation constraints and price out to the
+// returned cost.
 func TestDistanceFlowLargePath(t *testing.T) {
 	rng := randx.New(34)
-	sv := NewSolver(WithLargeThreshold(4)) // force large on small instances
+	sv := NewSolver()
 	for trial := 0; trial < 60; trial++ {
 		s := randomSig(rng, 2, 4+rng.Intn(10), 1+rng.Float64()*2)
 		u := randomSig(rng, 2, 4+rng.Intn(10), 1+rng.Float64()*2)
@@ -164,7 +92,7 @@ func TestDistanceFlowLargePath(t *testing.T) {
 		}
 		want := referenceEMD(t, s, u, Euclidean)
 		if math.Abs(res.EMD-want) > 1e-9*(1+want) {
-			t.Fatalf("trial %d: large DistanceFlow EMD %.15g vs reference %.15g", trial, res.EMD, want)
+			t.Fatalf("trial %d: DistanceFlow EMD %.15g vs reference %.15g", trial, res.EMD, want)
 		}
 		wantAmount := math.Min(s.TotalWeight(), u.TotalWeight())
 		if math.Abs(res.Amount-wantAmount) > 1e-9*(1+wantAmount) {
@@ -191,10 +119,9 @@ func TestDistanceFlowLargePath(t *testing.T) {
 	}
 }
 
-// TestWarmDistanceLargeZeroAllocsK256 is the large-K allocation guard
-// of this PR: a warm solver computes K=256 block-pricing distances
-// without a single heap allocation, just like the classic path at
-// small K (mirrors the PR 1 guarantee at the new scale).
+// TestWarmDistanceLargeZeroAllocsK256 is the large-K allocation guard:
+// a warm solver computes K=256 distances without a single heap
+// allocation, as it does at small K.
 func TestWarmDistanceLargeZeroAllocsK256(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -206,23 +133,22 @@ func TestWarmDistanceLargeZeroAllocsK256(t *testing.T) {
 	s := randomSig(rng, 2, 256, 1)
 	u := randomSig(rng, 2, 256, 1)
 	sv := NewSolver()
-	if _, err := sv.DistanceLarge(s, u, Euclidean); err != nil {
+	if _, err := sv.Distance(s, u, Euclidean); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(3, func() {
-		if _, err := sv.DistanceLarge(s, u, Euclidean); err != nil {
+		if _, err := sv.Distance(s, u, Euclidean); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm DistanceLarge at K=256: %g allocs/op, want 0", allocs)
+		t.Errorf("warm Distance at K=256: %g allocs/op, want 0", allocs)
 	}
 }
 
-// TestPrewarmedSolverFirstDistanceLargeZeroAllocs extends the PR 3
-// Prewarm guarantee to the block-pricing path: a fresh solver that was
-// Prewarmed for the signature size must not allocate even on its FIRST
-// large-path distance (per-worker solvers in the tiled pairwise engine
-// rely on this at large K).
+// TestPrewarmedSolverFirstDistanceLargeZeroAllocs extends the Prewarm
+// guarantee to large K: a fresh solver that was Prewarmed for the
+// signature size must not allocate even on its FIRST distance
+// (per-worker solvers in the tiled pairwise engine rely on this).
 func TestPrewarmedSolverFirstDistanceLargeZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -246,10 +172,10 @@ func TestPrewarmedSolverFirstDistanceLargeZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, func() {
 		sv := fresh[next]
 		next++
-		if _, err := sv.Distance(s, u, Euclidean); err != nil { // K=256 auto-selects the large path
+		if _, err := sv.Distance(s, u, Euclidean); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("first auto-large Distance after Prewarm(%d): %g allocs/op, want 0", k, allocs)
+		t.Errorf("first Distance after Prewarm(%d): %g allocs/op, want 0", k, allocs)
 	}
 }

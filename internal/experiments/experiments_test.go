@@ -313,8 +313,8 @@ func TestPairwiseShardMergeFlow(t *testing.T) {
 
 // TestSolverScale drives the `repro -exp solverscale` study at a small
 // scale: the report must render, every row must carry counters, and the
-// classic-vs-block-pricing cost agreement is enforced inside the driver
-// (it errors past 1e-9).
+// bit-transparent cache and the block=1 cost agreement are enforced
+// inside the driver (it errors on a mismatch or past 1e-9).
 func TestSolverScale(t *testing.T) {
 	res, err := SolverScale(3, SolverScaleOptions{Ks: []int{8, 24}, Pairs: 2})
 	if err != nil {
@@ -324,14 +324,17 @@ func TestSolverScale(t *testing.T) {
 		t.Fatalf("want 2 rows, got %d", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r.ClassicPivots <= 0 || r.LargePivots <= 0 {
-			t.Errorf("K=%d: missing pivot counters: %+v", r.K, r)
+		if r.Pivots <= 0 || r.RefillRows <= 0 || r.PerOp <= 0 {
+			t.Errorf("K=%d: missing pivot/refill/timing counters: %+v", r.K, r)
+		}
+		if r.UncachedGroundEvals <= 0 || r.CachedGroundEvals != 0 || r.CacheHits <= 0 {
+			t.Errorf("K=%d: cache amortization counters off: %+v", r.K, r)
 		}
 		if r.MaxRelDiff > 1e-9 {
 			t.Errorf("K=%d: rel diff %g escaped the driver's own gate", r.K, r.MaxRelDiff)
 		}
 	}
-	if !strings.Contains(res.Report, "block-pricing") {
-		t.Error("report missing")
+	if !strings.Contains(res.Report, "block-pricing") || strings.Contains(res.Report, "classic") {
+		t.Errorf("report should describe the one block-pricing path:\n%s", res.Report)
 	}
 }

@@ -306,32 +306,16 @@ func WithRawMass(raw bool) Option {
 	return Option{func(c *core.EngineConfig) { c.Template.RawMass = raw }}
 }
 
-// WithEMDLargeThreshold sets the signature size at which every stream
-// detector's EMD solver switches to the block-pricing large-signature
-// path (lazy blocked cost matrix, shrinking candidate refills, rooted
-// basis tree): 0 — the default — selects emd.DefaultLargeThreshold
-// (128), a negative value pins the classic full-refill solver at every
-// size, and a positive value is the threshold. Both paths return the
-// same optimal EMD to rounding; on degenerate ties they may pick
-// different equally optimal bases whose costs differ in the last bits,
-// so the threshold is part of the engine snapshot fingerprint — engines
-// that disagree on it refuse each other's snapshots rather than
-// silently diverging.
-func WithEMDLargeThreshold(k int) Option {
-	return Option{func(c *core.EngineConfig) { c.Template.EMDLargeK = k }}
-}
-
 // WithEMDCostCache sizes the ground-cost cache each stream detector's
 // EMD solver holds. The w−1 solves of a push all involve the incoming
 // signature, and stable-support builders (histogram, grid) emit
 // bit-identical support sets on every bag, so cached cost rows replace
 // most ground-distance evaluations with lookups. n = 0 — the default —
 // selects emd.DefaultCostCacheSlots, a positive value is the slot
-// count, and a negative value disables caching. Unlike the large
-// threshold, the cache is bit-transparent — every score is the same
-// bits with caching on or off — so this knob is NOT part of the
-// snapshot fingerprint and engines may restore across different cache
-// settings. Watch bagcpd_push_solver_ground_evals_total vs
+// count, and a negative value disables caching. The cache is
+// bit-transparent — every score is the same bits with caching on or
+// off — so this knob is NOT part of the snapshot fingerprint and
+// engines may restore across different cache settings. Watch bagcpd_push_solver_ground_evals_total vs
 // bagcpd_push_solver_cache_hits_total on /metrics to see the absorption
 // ratio.
 func WithEMDCostCache(n int) Option {
@@ -484,13 +468,6 @@ func WithPairGround(g Ground) PairwiseOpt { return core.WithPairGround(g) }
 // WithPairRawMass keeps raw signature masses (partial-matching EMD)
 // instead of normalizing to unit total.
 func WithPairRawMass(raw bool) PairwiseOpt { return core.WithPairRawMass(raw) }
-
-// WithPairEMDLargeThreshold sets the signature size at which the tiled
-// engine's worker solvers switch to the block-pricing large-signature
-// EMD path (0 selects the emd default of 128, negative disables). All
-// shards of one sharded run must agree on it; see
-// core.WithPairEMDLargeThreshold.
-func WithPairEMDLargeThreshold(k int) PairwiseOpt { return core.WithPairEMDLargeThreshold(k) }
 
 // WithPairEMDCostCache sizes the tile-local ground-cost cache each
 // worker solver holds (0 selects the emd default, negative disables).
