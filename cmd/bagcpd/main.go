@@ -30,8 +30,10 @@
 // instance replays the directory back to exactly the acknowledged
 // state. -pool-max bounds the resident detector pool, spilling idle
 // streams to disk (-spill-dir, default <oplog>/streams) and faulting
-// them back in on push; -evict-sweep-max caps evictions per janitor
-// sweep. Operational output
+// them back in on push. On SIGINT/SIGTERM the service drains: in-flight
+// requests finish and, with -oplog, the log collapses into a final
+// checkpoint, so a restart on the same directory resumes every stream
+// (spilled ones included) without replaying a record. Operational output
 // (the bound listen address, drain progress, slow batches, evictions)
 // goes to stderr as structured log records — text by default, JSON with
 // -log-format json, verbosity via -log-level; the serving announcement
@@ -91,12 +93,10 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "serve mode: concurrent push batches before 429 (0 = default)")
 		maxBatch    = flag.Int("max-batch", 0, "serve mode: max bags per push batch (0 = default)")
 		idleTTL     = flag.Duration("idle-ttl", 0, "serve mode: evict streams idle this long (0 disables eviction)")
-		snapOnExit  = flag.String("snapshot-on-exit", "", "serve mode: write a final engine snapshot to this path during graceful SIGINT/SIGTERM drain")
 		slowPush    = flag.Duration("slow-push", 0, "serve mode: warn-log push batches at or above this duration (0 = default 1s; negative disables)")
 		oplogDir    = flag.String("oplog", "", "serve mode: write-ahead oplog directory — acknowledged pushes survive SIGKILL and replay at startup")
 		poolMax     = flag.Int("pool-max", 0, "serve mode: max resident detector streams; idle overflow spills to disk (requires -oplog or -spill-dir; 0 = unbounded)")
 		spillDir    = flag.String("spill-dir", "", "serve mode: on-disk store for spilled streams (default: <oplog>/streams)")
-		evictMax    = flag.Int("evict-sweep-max", 0, "serve mode: cap streams evicted per janitor sweep (0 = no cap)")
 
 		route    = flag.String("route", "", "run as a cluster router on this address, forwarding to -members")
 		members  = flag.String("members", "", "route mode: comma-separated member base URLs (e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
@@ -156,12 +156,10 @@ func main() {
 			maxInflight: *maxInflight,
 			maxBatch:    *maxBatch,
 			idleTTL:     *idleTTL,
-			snapOnExit:  *snapOnExit,
 			slowPush:    *slowPush,
 			oplogDir:    *oplogDir,
 			poolMax:     *poolMax,
 			spillDir:    *spillDir,
-			evictMax:    *evictMax,
 			debugAddr:   *debugAddr,
 			logger:      logger,
 		}
@@ -481,35 +479,32 @@ type serveOptions struct {
 	maxInflight int
 	maxBatch    int
 	idleTTL     time.Duration
-	snapOnExit  string
 	slowPush    time.Duration
 	oplogDir    string
 	poolMax     int
 	spillDir    string
-	evictMax    int
 	debugAddr   string
 	logger      *slog.Logger
 }
 
 // runServe runs the engine as an HTTP service until SIGINT/SIGTERM,
-// then drains: the listener stops, in-flight requests finish, the
-// eviction janitor halts, a final snapshot is persisted when
-// -snapshot-on-exit asked for one, and the engine shuts down. The bound
+// then drains: the listener stops, in-flight requests finish, the oplog
+// (if any) collapses into a final checkpoint, the engine shuts down and
+// the eviction janitor halts. The bound
 // address is announced in a structured "serving" log record (addr=...)
 // so callers using port 0 — and the integration tests — can find the
 // service.
 func runServe(eng *repro.Engine, o serveOptions) error {
 	srv, err := repro.NewServer(repro.ServerConfig{
-		Engine:           eng,
-		MaxInFlight:      o.maxInflight,
-		MaxBatchBags:     o.maxBatch,
-		IdleTTL:          o.idleTTL,
-		SlowPush:         o.slowPush,
-		OplogDir:         o.oplogDir,
-		MaxResident:      o.poolMax,
-		SpillDir:         o.spillDir,
-		MaxEvictPerSweep: o.evictMax,
-		Logger:           o.logger,
+		Engine:       eng,
+		MaxInFlight:  o.maxInflight,
+		MaxBatchBags: o.maxBatch,
+		IdleTTL:      o.idleTTL,
+		SlowPush:     o.slowPush,
+		OplogDir:     o.oplogDir,
+		MaxResident:  o.poolMax,
+		SpillDir:     o.spillDir,
+		Logger:       o.logger,
 	})
 	if err != nil {
 		return err
@@ -543,53 +538,20 @@ func runServe(eng *repro.Engine, o serveOptions) error {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		err := httpSrv.Shutdown(ctx)
-		// Persist the final state AFTER the listener drained (no pushes
-		// can be in flight) and BEFORE the engine shuts down. The
-		// envelope is the same one /v1/snapshot serves: POST it to
-		// another instance's /v1/restore — or a router's migration flow —
-		// to resume every stream bit-identically.
-		if o.snapOnExit != "" {
-			if serr := writeSnapshot(eng, o.snapOnExit); serr != nil {
-				o.logger.Error("snapshot-on-exit failed", "path", o.snapOnExit, "error", serr)
-				if err == nil {
-					err = serr
-				}
-			} else {
-				o.logger.Info("final snapshot written", "path", o.snapOnExit)
-			}
-		}
-		// With an oplog, collapse the log into a final checkpoint so the
-		// next start replays an envelope, not the whole session's suffix.
-		if o.oplogDir != "" {
-			if cerr := srv.Checkpoint(); cerr != nil {
-				o.logger.Error("drain checkpoint failed", "error", cerr)
-				if err == nil {
-					err = cerr
-				}
+		// Collapse the oplog into a final checkpoint AFTER the listener
+		// drained (no pushes can be in flight) and BEFORE the engine shuts
+		// down: the next start on the same directory restores the envelope
+		// and its spill store instead of replaying the session's records.
+		// Without -oplog this is a no-op.
+		if cerr := srv.Checkpoint(); cerr != nil {
+			o.logger.Error("drain checkpoint failed", "error", cerr)
+			if err == nil {
+				err = cerr
 			}
 		}
 		eng.Shutdown()
 		return err
 	}
-}
-
-// writeSnapshot atomically persists the engine's full snapshot envelope:
-// written to a temp file in the target directory, then renamed, so a
-// crash mid-write can never leave a truncated envelope at path.
-func writeSnapshot(eng *repro.Engine, path string) error {
-	snap, err := eng.Snapshot()
-	if err != nil {
-		return err
-	}
-	blob, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func fatalf(format string, args ...any) {

@@ -7,7 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -148,6 +151,65 @@ func TestServeOplogCrashReplay(t *testing.T) {
 	} {
 		if !containsLine(string(metrics), probe) {
 			t.Fatalf("metrics exposition lacks %s", probe)
+		}
+	}
+}
+
+// TestServeDrainCheckpoint: graceful drain is the one exit path for
+// serving state. A member serving with -oplog and a one-stream pool is
+// SIGTERMed; the drain must collapse the log into checkpoint.json (the
+// restart replays zero records), and a restart on the same directory
+// must continue every stream — the spilled ones included —
+// bit-identically to an uninterrupted reference.
+func TestServeDrainCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	ids := []string{"drain-a", "drain-b", "drain-c"}
+	const steps, cut = 12, 6
+	want := referenceRun(t, ids, steps)
+	dir := filepath.Join(t.TempDir(), "oplog")
+	flags := []string{"-oplog", dir, "-pool-max", "1"}
+
+	// One stream per request, so the one-stream pool spills on every push.
+	cmdA, baseA := startMember(t, "127.0.0.1:0", flags...)
+	for step := 0; step < cut; step++ {
+		for _, id := range ids {
+			rows := servePush(t, baseA, step, id)
+			checkRouted(t, rows[0], id, step, want[refKey{id, step}])
+		}
+	}
+	if err := cmdA.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmdA.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("drained server exited with %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("server did not exit after SIGTERM")
+	}
+
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json")); err != nil {
+		t.Fatalf("drain left no checkpoint: %v", err)
+	}
+	spilled, _ := filepath.Glob(filepath.Join(dir, "streams", "*.json"))
+	if len(spilled) != len(ids)-1 {
+		t.Fatalf("%d spill files after drain, want %d", len(spilled), len(ids)-1)
+	}
+
+	_, baseB, logB := startBagcpdLogged(t, append(append([]string{"-serve", "127.0.0.1:0"}, serveArgs[2:]...), flags...)...)
+	recovered := logB.find(`msg="oplog recovered"`)
+	if !strings.Contains(recovered, " records=0 ") {
+		t.Fatalf("restart after drain replayed records: %q", recovered)
+	}
+	for step := cut; step < steps; step++ {
+		for _, id := range ids {
+			rows := servePush(t, baseB, step, id)
+			checkRouted(t, rows[0], id, step, want[refKey{id, step}])
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"syscall"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,6 +22,40 @@ import (
 // base URL announced on stderr.
 func startBagcpd(t *testing.T, args ...string) (*exec.Cmd, string) {
 	t.Helper()
+	cmd, base, _ := startBagcpdLogged(t, args...)
+	return cmd, base
+}
+
+// stderrLog collects a bagcpd process's stderr lines.
+type stderrLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *stderrLog) add(line string) {
+	l.mu.Lock()
+	l.lines = append(l.lines, line)
+	l.mu.Unlock()
+}
+
+// find returns the first line containing substr, or "".
+func (l *stderrLog) find(substr string) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, line := range l.lines {
+		if strings.Contains(line, substr) {
+			return line
+		}
+	}
+	return ""
+}
+
+// startBagcpdLogged is startBagcpd that also keeps the process's stderr
+// lines; every line up to the address announcement is in the log when
+// it returns.
+func startBagcpdLogged(t *testing.T, args ...string) (*exec.Cmd, string, *stderrLog) {
+	t.Helper()
+	log := &stderrLog{}
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "BAGCPD_SERVE_HELPER=1")
 	stderr, err := cmd.StderrPipe()
@@ -40,6 +74,7 @@ func startBagcpd(t *testing.T, args ...string) (*exec.Cmd, string) {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
+			log.add(line)
 			for _, marker := range []string{"msg=serving", "msg=routing"} {
 				if addr := announcedAddr(line, marker); addr != "" {
 					select {
@@ -52,10 +87,10 @@ func startBagcpd(t *testing.T, args ...string) (*exec.Cmd, string) {
 	}()
 	select {
 	case u := <-urlc:
-		return cmd, u
+		return cmd, u, log
 	case <-time.After(20 * time.Second):
 		t.Fatal("bagcpd process did not announce its address")
-		return nil, ""
+		return nil, "", nil
 	}
 }
 
@@ -405,58 +440,5 @@ func TestRouteChaosThreeInstances(t *testing.T) {
 	if !strings.Contains(text, "bagcpd_router_member_errors_total") ||
 		strings.Contains(text, "bagcpd_router_member_errors_total 0\n") {
 		t.Fatalf("router metrics should have counted the outage errors:\n%s", text)
-	}
-}
-
-// TestServeSnapshotOnExit: a graceful SIGTERM drain persists the final
-// envelope to -snapshot-on-exit, and a fresh process restored from that
-// file continues every stream bit-identically.
-func TestServeSnapshotOnExit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses")
-	}
-	snapPath := t.TempDir() + "/final.snapshot.json"
-	ids := []string{"exit-a", "exit-b"}
-	const steps, cut = 12, 6
-	want := referenceRun(t, ids, steps)
-
-	cmdA, baseA := startMember(t, "127.0.0.1:0", "-snapshot-on-exit", snapPath)
-	for step := 0; step < cut; step++ {
-		servePush(t, baseA, step, ids...)
-	}
-	if err := cmdA.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmdA.Wait() }()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("server did not exit after SIGTERM")
-	}
-
-	envelope, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatalf("snapshot-on-exit file: %v", err)
-	}
-	if _, err := os.Stat(snapPath + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind next to the snapshot (err %v)", err)
-	}
-
-	_, baseB := startMember(t, "127.0.0.1:0")
-	resp, err := http.Post(baseB+"/v1/restore", "application/json", bytes.NewReader(envelope))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("restore status %d: %s", resp.StatusCode, msg)
-	}
-	for step := cut; step < steps; step++ {
-		rows := servePush(t, baseB, step, ids...)
-		for i, id := range ids {
-			checkRouted(t, rows[i], id, step, want[refKey{id, step}])
-		}
 	}
 }

@@ -22,7 +22,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -272,48 +271,6 @@ func (s *EngineSnapshot) SplitByStream() []EngineSnapshot {
 		out[i] = env
 	}
 	return out
-}
-
-// ExtractStreams removes the named streams from the envelope and
-// returns them as a new partial envelope with the same fingerprint —
-// the donor half of a migration: what is extracted is no longer in the
-// source envelope, so the same stream state can never be restored in
-// two places from one envelope. Extraction errors (an id not present —
-// including one already extracted — or a duplicate in ids) leave the
-// receiver unchanged.
-func (s *EngineSnapshot) ExtractStreams(ids ...string) (*EngineSnapshot, error) {
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("core: ExtractStreams requires at least one stream id")
-	}
-	want := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		if want[id] {
-			return nil, fmt.Errorf("core: ExtractStreams: duplicate stream id %q", id)
-		}
-		want[id] = true
-	}
-	out := *s
-	out.Partial = true
-	out.Streams = make([]StreamSnapshot, 0, len(ids))
-	kept := make([]StreamSnapshot, 0, len(s.Streams))
-	for _, ss := range s.Streams {
-		if want[ss.ID] {
-			out.Streams = append(out.Streams, ss)
-			delete(want, ss.ID)
-		} else {
-			kept = append(kept, ss)
-		}
-	}
-	if len(want) > 0 {
-		missing := make([]string, 0, len(want))
-		for id := range want {
-			missing = append(missing, id)
-		}
-		sort.Strings(missing)
-		return nil, fmt.Errorf("core: ExtractStreams: stream(s) not in envelope (unknown or already extracted): %s", strings.Join(missing, ", "))
-	}
-	s.Streams = kept
-	return &out, nil
 }
 
 // fingerprint returns the envelope carrying cfg's restore-validated

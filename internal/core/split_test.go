@@ -11,9 +11,9 @@ import (
 )
 
 // TestSnapshotSplitExtractRestoreRoundTrip is the per-stream snapshot
-// surgery contract, for every builder factory: a full envelope is
-// carved up with ExtractStreams (migration) and SplitByStream (one
-// envelope per stream), the pieces are shipped through JSON and merged
+// surgery contract, for every builder factory: the migrating streams
+// are captured with SnapshotStreams and carved up with SplitByStream
+// (one envelope per stream), the pieces are shipped through JSON and merged
 // onto OTHER engines with RestoreStreams, and every stream's remaining
 // points are bit-identical to an uninterrupted reference run.
 func TestSnapshotSplitExtractRestoreRoundTrip(t *testing.T) {
@@ -54,34 +54,30 @@ func TestSnapshotSplitExtractRestoreRoundTrip(t *testing.T) {
 				}
 			}
 
-			// Donor engine: run to the cut, snapshot, carve the envelope.
+			// Donor engine: run to the cut, capture the migrating streams
+			// and close them here, as the server's extract endpoint does.
 			donor := newTestEngine(t, fc.factory, 2)
 			for step := 0; step < cut; step++ {
 				batchAt(donor, step, ids...)
 			}
-			snap, err := donor.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			moved, err := snap.ExtractStreams("s-1", "s-2")
+			moved, err := donor.SnapshotStreams("s-1", "s-2")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !moved.Partial || len(moved.Streams) != 2 {
-				t.Fatalf("extracted envelope: partial=%v streams=%d", moved.Partial, len(moved.Streams))
+				t.Fatalf("captured envelope: partial=%v streams=%d", moved.Partial, len(moved.Streams))
 			}
-			if len(snap.Streams) != 1 || snap.Streams[0].ID != "s-0" {
-				t.Fatalf("donor envelope after extraction: %+v", streamIDsOf(snap))
+			for _, id := range []string{"s-1", "s-2"} {
+				st, _ := donor.Get(id)
+				st.Close()
 			}
 
-			// Ship both halves through JSON like the HTTP tier does.
+			// Ship the envelope through JSON like the HTTP tier does.
 			moved = jsonRoundTrip(t, moved)
-			snap = jsonRoundTrip(t, snap)
 
-			// s-1 migrates alone via SplitByStream; s-2 via the remaining
-			// extracted envelope. Both merge into engine B, which already
-			// holds other live state (stream "resident") — RestoreStreams
-			// must not disturb it.
+			// Each stream migrates alone via SplitByStream into engine B,
+			// which already holds other live state (stream "resident") —
+			// RestoreStreams must not disturb it.
 			singles := moved.SplitByStream()
 			if len(singles) != 2 {
 				t.Fatalf("SplitByStream: %d envelopes, want 2", len(singles))
@@ -143,7 +139,7 @@ func jsonRoundTrip(t *testing.T, s *EngineSnapshot) *EngineSnapshot {
 }
 
 // TestSnapshotSplitExtractErrors covers the surgery error paths: unknown
-// and double extraction, duplicate ids, merge conflicts, fingerprint
+// and duplicate ids in a stream capture, merge conflicts, fingerprint
 // mismatch on the receiving engine, and rollback on a failed merge.
 func TestSnapshotSplitExtractErrors(t *testing.T) {
 	factory := signature.HistogramFactory(-6, 9, 24)
@@ -155,38 +151,6 @@ func TestSnapshotSplitExtractErrors(t *testing.T) {
 			}
 		}
 	}
-	snap, err := eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("extract-unknown", func(t *testing.T) {
-		env := *snap
-		env.Streams = append([]StreamSnapshot(nil), snap.Streams...)
-		if _, err := env.ExtractStreams("nope"); err == nil || !strings.Contains(err.Error(), "nope") {
-			t.Fatalf("want unknown-stream error, got %v", err)
-		}
-		if len(env.Streams) != 3 {
-			t.Fatal("failed extraction mutated the envelope")
-		}
-	})
-	t.Run("extract-duplicate-arg", func(t *testing.T) {
-		env := *snap
-		env.Streams = append([]StreamSnapshot(nil), snap.Streams...)
-		if _, err := env.ExtractStreams("a", "a"); err == nil {
-			t.Fatal("want duplicate-id error")
-		}
-	})
-	t.Run("extract-twice", func(t *testing.T) {
-		env := *snap
-		env.Streams = append([]StreamSnapshot(nil), snap.Streams...)
-		if _, err := env.ExtractStreams("a"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := env.ExtractStreams("a"); err == nil {
-			t.Fatal("second extraction of the same stream must fail")
-		}
-	})
 	t.Run("snapshot-streams-unknown", func(t *testing.T) {
 		if _, err := eng.SnapshotStreams("a", "ghost"); err == nil {
 			t.Fatal("want unknown-stream error")

@@ -54,11 +54,12 @@ const (
 	// time index, the bag points, the engine mutation mark stamped by the
 	// applying batch, and the batch trace id (if any).
 	OpPush = "push"
-	// OpClose records an explicit stream close (lifecycle endpoint,
-	// discard-mode eviction, migration extract): on replay the stream's
-	// state is dropped exactly as it was live, so a later life of the id
-	// starts from tick 0 again. Spill-mode evictions write no record —
-	// the spilled envelope, not the log, carries that state onward.
+	// OpClose records an explicit stream close (lifecycle endpoint or
+	// migration extract): on replay the stream's state is dropped exactly
+	// as it was live, so a later life of the id starts from tick 0 again.
+	// Evictions write no record: a server with an oplog always has a
+	// spill store, so an evicted stream spills, and the spilled envelope,
+	// not the log, carries its state onward.
 	OpClose = "close"
 )
 
@@ -158,13 +159,13 @@ type Log struct {
 	// sequence, checkpointing and compaction. It is held across fsync, so
 	// concurrent Syncs coalesce — the second caller finds its records
 	// already durable and returns without touching the disk.
-	smu      sync.Mutex
-	active   *os.File
+	smu        sync.Mutex
+	active     *os.File
 	activeInfo segInfo
-	sealed   []segInfo // older segments, ascending index
-	synced   uint64
-	err      error // sticky: a failed write poisons the log
-	stats    Stats
+	sealed     []segInfo // older segments, ascending index
+	synced     uint64
+	err        error // sticky: a failed write poisons the log
+	stats      Stats
 }
 
 // Open opens (creating if needed) the oplog directory, truncates the
@@ -453,26 +454,9 @@ func (l *Log) Checkpoint(envelope []byte, mark uint64) error {
 	if l.err != nil {
 		return l.err
 	}
-	path := filepath.Join(l.dir, checkpointName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := writeDurable(filepath.Join(l.dir, checkpointName), envelope); err != nil {
 		return fmt.Errorf("oplog: checkpoint: %w", err)
 	}
-	if _, err := f.Write(envelope); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("oplog: checkpoint: %w", err)
-	}
-	syncDir(l.dir)
 
 	// The envelope is durable; everything before it is redundant. Seal
 	// the active segment so the whole pre-checkpoint log is compactable.
@@ -581,6 +565,33 @@ func (l *Log) Close() error {
 		l.err = fmt.Errorf("oplog: log is closed")
 	}
 	return err
+}
+
+// writeDurable atomically and durably replaces path with blob: the bytes
+// go to a temp file that is fsynced, closed and renamed over path, then
+// the directory is synced so the rename survives a crash. On error the
+// temp file is removed and path is untouched.
+func writeDurable(path string, blob []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(blob); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
 }
 
 // syncDir fsyncs a directory so renames and unlinks inside it are

@@ -88,26 +88,9 @@ func (s *StreamStore) Put(id string, blob []byte) error {
 	if len(id) > maxSpillID {
 		return fmt.Errorf("oplog: stream store: id %q is %d bytes, spill supports at most %d", id, len(id), maxSpillID)
 	}
-	path := s.path(id)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("oplog: stream store: %w", err)
-	}
-	if _, err = f.Write(blob); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := writeDurable(s.path(id), blob); err != nil {
 		return fmt.Errorf("oplog: stream store: spill %q: %w", id, err)
 	}
-	syncDir(s.dir)
 	s.mu.Lock()
 	s.ids[id] = true
 	s.mu.Unlock()

@@ -71,9 +71,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bag"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 // Config parameterizes a Router.
@@ -90,9 +90,6 @@ type Config struct {
 	// Client issues the forwarded requests. nil selects a client with a
 	// 60s timeout.
 	Client *http.Client
-	// MaxBatchBytes bounds one push request's body, exactly like the
-	// member server's knob. 0 selects the member default.
-	MaxBatchBytes int64
 	// Logger receives the router's structured operational records
 	// (migration spans, member failures, per-batch debug lines). nil
 	// discards them.
@@ -206,14 +203,6 @@ func (r *Router) Members() []string {
 	return out
 }
 
-// pushRow is the subset of a push row the router needs to route and
-// validate it; the raw line is forwarded verbatim so members see exactly
-// what the client sent.
-type pushRow struct {
-	Stream string      `json:"stream"`
-	Bag    [][]float64 `json:"bag"`
-}
-
 // errorRow is a router-synthesized NDJSON result row. It carries the
 // batch trace like member-produced rows do, so a client can correlate
 // partial failures with the router's log records.
@@ -264,78 +253,46 @@ func (r *Router) handlePush(w http.ResponseWriter, req *http.Request) {
 		trace = mintTrace()
 	}
 
-	maxBytes := r.cfg.MaxBatchBytes
-	if maxBytes <= 0 {
-		maxBytes = 64 << 20
-	}
-	req.Body = http.MaxBytesReader(w, req.Body, maxBytes)
+	// The member's body cap: a batch the router accepts fits every member.
+	req.Body = http.MaxBytesReader(w, req.Body, server.DefaultMaxBatchBytes)
 
-	// Parse and validate the whole batch up front, like the member
-	// server: a malformed line rejects the request before ANY sub-batch
-	// is forwarded, so a 400 always means "nothing was applied".
-	var (
-		lines   [][]byte // raw row lines, in input order
-		streams []string // per-row stream id
-	)
-	sc := bufio.NewScanner(req.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var row pushRow
-		if err := json.Unmarshal([]byte(text), &row); err != nil {
-			httpRowError(w, sc, lineNo, err)
-			return
-		}
-		if row.Stream == "" {
-			httpRowError(w, sc, lineNo, errors.New("missing stream id"))
-			return
-		}
-		if len(row.Bag) == 0 {
-			httpRowError(w, sc, lineNo, errors.New("empty bag"))
-			return
-		}
-		if err := (bag.Bag{Points: row.Bag}).Validate(); err != nil {
-			httpRowError(w, sc, lineNo, err)
-			return
-		}
-		lines = append(lines, []byte(text))
-		streams = append(streams, row.Stream)
-	}
-	if err := sc.Err(); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("batch exceeds %d bytes", maxBytes), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(lines) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-
-	// Deal rows to their owning members, preserving input order inside
-	// each sub-batch (and therefore per-stream order: a stream's rows all
-	// go to one member).
+	// Parse and validate the whole batch up front with the member
+	// server's decoder: a malformed line rejects the request before ANY
+	// sub-batch is forwarded, so a 400 always means "nothing was
+	// applied". Each valid raw line is dealt straight into its owning
+	// member's sub-batch, preserving input order inside each sub-batch
+	// (and therefore per-stream order: a stream's rows all go to one
+	// member). Members get each row's line as the client sent it, less
+	// surrounding whitespace.
+	var streams []string // per-row stream id, in input order
 	index := make(map[string]*memberBatch)
 	var batches []*memberBatch
-	for i, line := range lines {
-		owner := r.Owner(streams[i])
+	err := server.DecodePushRows(req.Body, func(row server.PushRow, line []byte) error {
+		owner := r.Owner(row.Stream)
 		mb, ok := index[owner]
 		if !ok {
 			mb = &memberBatch{member: owner}
 			index[owner] = mb
 			batches = append(batches, mb)
 		}
-		mb.rows = append(mb.rows, i)
+		mb.rows = append(mb.rows, len(streams))
 		mb.body.Write(line)
 		mb.body.WriteByte('\n')
+		streams = append(streams, row.Stream)
+		return nil
+	})
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("batch exceeds %d bytes", server.DefaultMaxBatchBytes), http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(streams) == 0 {
+		http.Error(w, "empty batch", http.StatusBadRequest)
+		return
 	}
 
 	// Forward the sub-batches concurrently and collect per-row result
@@ -352,11 +309,11 @@ func (r *Router) handlePush(w http.ResponseWriter, req *http.Request) {
 	wg.Wait()
 
 	r.met.pushBatches.Inc()
-	r.met.pushRows.Add(uint64(len(lines)))
+	r.met.pushRows.Add(uint64(len(streams)))
 	r.met.forwarded.Add(uint64(len(batches)))
 
 	// Reassemble into input order.
-	out := make([][]byte, len(lines))
+	out := make([][]byte, len(streams))
 	busy := false
 	retryAfter := 0
 	for _, mb := range batches {
@@ -388,16 +345,8 @@ func (r *Router) handlePush(w http.ResponseWriter, req *http.Request) {
 	}
 	bw.Flush()
 	r.log.Debug("push batch routed",
-		"trace", trace, "rows", len(lines), "members", len(batches),
+		"trace", trace, "rows", len(streams), "members", len(batches),
 		"busy", busy, "duration", time.Since(start))
-}
-
-func httpRowError(w http.ResponseWriter, sc *bufio.Scanner, line int, err error) {
-	if scErr := sc.Err(); scErr != nil {
-		http.Error(w, fmt.Sprintf("reading body: %v", scErr), http.StatusBadRequest)
-		return
-	}
-	http.Error(w, fmt.Sprintf("line %d: %v", line, err), http.StatusBadRequest)
 }
 
 // forward ships one member's sub-batch — carrying the batch trace in

@@ -51,12 +51,6 @@ func (s *Server) initDurability() error {
 	if cfg.MaxResident < 0 {
 		return fmt.Errorf("server: MaxResident must be >= 0, got %d", cfg.MaxResident)
 	}
-	if cfg.EvictBatch < 0 {
-		return fmt.Errorf("server: EvictBatch must be >= 0, got %d", cfg.EvictBatch)
-	}
-	if cfg.MaxEvictPerSweep < 0 {
-		return fmt.Errorf("server: MaxEvictPerSweep must be >= 0, got %d", cfg.MaxEvictPerSweep)
-	}
 	if cfg.SpillDir == "" && cfg.OplogDir != "" {
 		// An oplog without a spill store would make eviction DESTROY
 		// durable state; default the store next to the log.
@@ -71,16 +65,13 @@ func (s *Server) initDurability() error {
 			return fmt.Errorf("server: %w", err)
 		}
 		s.spill = store
-		s.met.enablePool(s.eng, store, &s.poolPeak)
+		s.met.enablePool(store, &s.poolPeak)
 	}
 	if cfg.OplogDir == "" {
 		return nil
 	}
 	hist := s.met.oplogFsyncHistogram()
-	l, err := oplog.Open(cfg.OplogDir, oplog.Options{
-		SegmentBytes:  cfg.OplogSegmentBytes,
-		FsyncObserver: hist.Observe,
-	})
+	l, err := oplog.Open(cfg.OplogDir, oplog.Options{FsyncObserver: hist.Observe})
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
@@ -127,12 +118,10 @@ func (s *Server) recover() error {
 	// the spill write and the stream teardown. The live (replayed) state
 	// is the acknowledged truth — at the moment the spill was captured
 	// the two were identical, and only the live side can have advanced.
-	if s.spill != nil {
-		for _, id := range s.spill.IDs() {
-			if _, open := s.eng.Get(id); open {
-				if err := s.spill.Delete(id); err != nil {
-					return err
-				}
+	for _, id := range s.spill.IDs() {
+		if _, open := s.eng.Get(id); open {
+			if err := s.spill.Delete(id); err != nil {
+				return err
 			}
 		}
 	}
@@ -143,25 +132,19 @@ func (s *Server) recover() error {
 	s.log.Info("oplog recovered",
 		"records", replayed,
 		"streams", s.eng.Len(),
-		"spilled", s.spillCount(),
+		"spilled", s.spill.Len(),
 		"duration", s.now().Sub(start).Seconds())
 	return nil
 }
 
-func (s *Server) spillCount() int {
-	if s.spill == nil {
-		return 0
-	}
-	return s.spill.Len()
-}
-
-// applyReplay applies one oplog record during recovery.
+// applyReplay applies one oplog record during recovery. An oplog always
+// has a spill store (OplogDir defaults SpillDir), so s.spill is set.
 func (s *Server) applyReplay(rec oplog.Record) error {
 	switch rec.Op {
 	case oplog.OpClose:
 		if st, ok := s.eng.Get(rec.Stream); ok {
 			st.Close()
-		} else if s.spill != nil && s.spill.Has(rec.Stream) {
+		} else if s.spill.Has(rec.Stream) {
 			if err := s.spill.Delete(rec.Stream); err != nil {
 				return err
 			}
@@ -169,7 +152,7 @@ func (s *Server) applyReplay(rec oplog.Record) error {
 		s.forget(rec.Stream)
 		return nil
 	case oplog.OpPush:
-		if s.spill != nil && s.spill.Has(rec.Stream) {
+		if s.spill.Has(rec.Stream) {
 			if _, open := s.eng.Get(rec.Stream); !open {
 				if err := s.faultInLocked([]string{rec.Stream}); err != nil {
 					return err
@@ -257,22 +240,15 @@ func (s *Server) checkpointAsLocked(reason string, coversAll bool) error {
 	return nil
 }
 
-// DefaultOplogCheckpointBytes is the auto-checkpoint trigger: once this
-// many log bytes accumulate past the last checkpoint, the next push
-// kicks off a background checkpoint+compaction.
-const DefaultOplogCheckpointBytes = 64 << 20
+// checkpointBytes is the auto-checkpoint trigger: once this many log
+// bytes accumulate past the last checkpoint, the next push kicks off a
+// background checkpoint+compaction.
+const checkpointBytes = 64 << 20
 
 // maybeCheckpoint fires the background auto-checkpoint when the log has
-// grown past the configured trigger. At most one runs at a time.
+// grown past checkpointBytes. At most one runs at a time.
 func (s *Server) maybeCheckpoint() {
-	if s.wal == nil || s.cfg.OplogCheckpointBytes < 0 {
-		return
-	}
-	limit := s.cfg.OplogCheckpointBytes
-	if limit == 0 {
-		limit = DefaultOplogCheckpointBytes
-	}
-	if s.wal.BytesSinceCheckpoint() < limit {
+	if s.wal == nil || s.wal.BytesSinceCheckpoint() < checkpointBytes {
 		return
 	}
 	if !s.ckptBusy.CompareAndSwap(false, true) {
@@ -380,7 +356,7 @@ func (s *Server) makeResidentLocked(ids map[string]struct{}) error {
 // enforcePoolBoundLocked pages out the least-recently-pushed overflow
 // after bulk state arrivals (recovery, restore, adopt).
 func (s *Server) enforcePoolBoundLocked() {
-	if s.cfg.MaxResident <= 0 || s.spill == nil {
+	if s.cfg.MaxResident <= 0 {
 		return
 	}
 	if over := s.eng.Len() - s.cfg.MaxResident; over > 0 {
@@ -392,31 +368,12 @@ func (s *Server) enforcePoolBoundLocked() {
 // pushed first, never touching ids in keep. Callers hold the exclusive
 // phase lock.
 func (s *Server) spillLRULocked(n int, keep map[string]struct{}) {
-	type cand struct {
-		id   string
-		last time.Time
-	}
-	resident := s.eng.StreamIDs()
-	cands := make([]cand, 0, len(resident))
-	s.mu.Lock()
-	for _, id := range resident {
-		if _, kept := keep[id]; kept {
-			continue
-		}
-		cands = append(cands, cand{id, s.lastPush[id]})
-	}
-	s.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool {
-		if !cands[i].last.Equal(cands[j].last) {
-			return cands[i].last.Before(cands[j].last)
-		}
-		return cands[i].id < cands[j].id
+	cands := s.lruCandidates(func(id string, _ time.Time, _ bool) bool {
+		_, kept := keep[id]
+		return !kept
 	})
-	if n > len(cands) {
-		n = len(cands)
-	}
-	victims := make([]string, n)
-	for i := 0; i < n; i++ {
+	victims := make([]string, min(n, len(cands)))
+	for i := range victims {
 		victims[i] = cands[i].id
 	}
 	s.spillStreamsLocked(victims)
@@ -475,21 +432,17 @@ func (s *Server) faultInLocked(ids []string) error {
 			}
 			continue
 		}
-		blob, ok, err := s.spill.Get(id)
+		env, ok, err := s.spilledEnvelope(id)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		var env core.EngineSnapshot
-		if err := json.Unmarshal(blob, &env); err != nil {
-			return fmt.Errorf("spilled stream %q: corrupt envelope: %w", id, err)
-		}
-		if err := s.eng.RestoreStreams(&env); err != nil {
+		if err := s.eng.RestoreStreams(env); err != nil {
 			return fmt.Errorf("faulting in stream %q: %w", id, err)
 		}
-		s.stampStreams(&env)
+		s.stampStreams(env)
 		if err := s.spill.Delete(id); err != nil {
 			// The stream is live and correct; a stale spill file is only a
 			// problem if it survives to the next recovery, which reconciles.
@@ -498,6 +451,47 @@ func (s *Server) faultInLocked(ids []string) error {
 		s.met.faultins.Inc()
 	}
 	s.notePoolPeak()
+	return nil
+}
+
+// spilledEnvelope reads and decodes stream id's spilled envelope;
+// ok=false when the store holds none.
+func (s *Server) spilledEnvelope(id string) (*core.EngineSnapshot, bool, error) {
+	blob, ok, err := s.spill.Get(id)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	var env core.EngineSnapshot
+	if err := json.Unmarshal(blob, &env); err != nil {
+		return nil, false, fmt.Errorf("spilled stream %q: corrupt envelope: %w", id, err)
+	}
+	return &env, true, nil
+}
+
+// addSpilledLocked completes an engine snapshot with the spilled
+// streams — still open, only paged out — read straight from the store
+// without faulting them in, so the pool bound holds while the snapshot
+// is taken. The envelope keeps stream-id order. For a delta (snap is
+// Partial) a spilled stream joins when its envelope's mark is past
+// since: the envelope was cut after the stream's last change, so this
+// never misses a dirty stream. Callers hold the exclusive phase lock.
+func (s *Server) addSpilledLocked(snap *core.EngineSnapshot, since uint64) error {
+	if s.spill == nil || s.spill.Len() == 0 {
+		return nil
+	}
+	for _, id := range s.spill.IDs() {
+		if _, open := s.eng.Get(id); open {
+			continue // live state supersedes a leftover spill file
+		}
+		env, ok, err := s.spilledEnvelope(id)
+		if err != nil {
+			return err
+		}
+		if ok && (!snap.Partial || env.Mark > since) {
+			snap.Streams = append(snap.Streams, env.Streams...)
+		}
+	}
+	sort.Slice(snap.Streams, func(i, j int) bool { return snap.Streams[i].ID < snap.Streams[j].ID })
 	return nil
 }
 

@@ -356,48 +356,40 @@ func TestEvictSpillContinuation(t *testing.T) {
 
 // TestEvictSweepRace: the sweep must not hold the phase lock across the
 // whole candidate set, and a stream pushed between the census and its
-// batch keeps its state. EvictBatch=1 makes every candidate its own
-// batch; the sweepPause hook pushes to a later candidate in the
-// lock-free window between batches.
+// batch keeps its state. evictBatch+1 idle streams make two batches;
+// the sweepPause hook pushes to the one stream the second batch holds
+// (the census orders equal stamps by id) in the lock-free window
+// between them.
 func TestEvictSweepRace(t *testing.T) {
 	clock := &testClock{t: time.Unix(1000, 0)}
-	srv, ts := newTestServer(t, func(c *Config) {
-		c.Now = clock.Now
-		c.EvictBatch = 1
-	})
-	ids := []string{"r-a", "r-b", "r-c"}
+	srv, ts := newTestServer(t, func(c *Config) { c.Now = clock.Now })
+	ids := make([]string, evictBatch+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r-%03d", i)
+	}
+	last := ids[len(ids)-1]
 	for step := 0; step < 2; step++ {
 		doPush(t, ts, pushBody(step, ids...))
 	}
 	clock.Advance(time.Hour)
 
-	pushed := false
+	pauses := 0
 	srv.sweepPause = func() {
-		if pushed {
-			return
-		}
-		pushed = true
+		pauses++
 		// Between batches no locks are held: this push must neither
-		// deadlock nor be torn down by the batches that follow it.
-		doPush(t, ts, pushBody(2, "r-c"))
+		// deadlock nor be torn down by the batch that follows it.
+		doPush(t, ts, pushBody(2, last))
 	}
 	evicted := srv.EvictIdle(30 * time.Minute)
-	if !pushed {
-		t.Fatal("sweepPause never ran — sweep was not batched")
+	if pauses != 1 {
+		t.Fatalf("sweepPause ran %d times, want 1 — sweep was not split into two batches", pauses)
 	}
-	wantEvicted := []string{"r-a", "r-b"}
-	if len(evicted) != len(wantEvicted) || evicted[0] != wantEvicted[0] || evicted[1] != wantEvicted[1] {
-		t.Fatalf("evicted %v, want %v (r-c was re-pushed mid-sweep)", evicted, wantEvicted)
+	want := ids[:len(ids)-1]
+	if strings.Join(evicted, ",") != strings.Join(want, ",") {
+		t.Fatalf("evicted %v, want %v (%s was re-pushed mid-sweep)", evicted, want, last)
 	}
-	if _, open := srv.eng.Get("r-c"); !open {
-		t.Fatal("re-pushed stream r-c was evicted out from under its acknowledgement")
-	}
-	// MaxEvictPerSweep caps a sweep's total work.
-	clock.Advance(2 * time.Hour)
-	srv.sweepPause = nil
-	srv.cfg.MaxEvictPerSweep = 1
-	if evicted := srv.EvictIdle(30 * time.Minute); len(evicted) != 1 {
-		t.Fatalf("capped sweep evicted %v, want exactly 1", evicted)
+	if _, open := srv.eng.Get(last); !open {
+		t.Fatalf("re-pushed stream %s was evicted out from under its acknowledgement", last)
 	}
 }
 
@@ -430,6 +422,99 @@ func TestCloseSpilledStream(t *testing.T) {
 	if rows[0].BagT != 0 {
 		t.Fatalf("new life starts at bag_t %d, want 0", rows[0].BagT)
 	}
+}
+
+// TestSnapshotCarriesSpilledStreams: spilled streams are still open, so
+// a full snapshot must carry them — read from the spill store, without
+// faulting them in past the pool bound — and restoring that envelope
+// must continue every stream, spilled ones included, bit-identically
+// (the restore empties the spill store, so a snapshot without them would
+// lose them). A delta takes a spilled stream once its envelope's mark
+// is past the delta's since mark.
+func TestSnapshotCarriesSpilledStreams(t *testing.T) {
+	ids := []string{"v-0", "v-1", "v-2", "v-3"}
+	const steps, cut, bound = 12, 7, 2
+
+	_, refTS := newTestServer(t, nil)
+	want := make(map[string][]resultRow)
+	for step := 0; step < steps; step++ {
+		for _, id := range ids {
+			want[id] = append(want[id], doPush(t, refTS, pushBody(step, id))[0])
+		}
+	}
+
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.SpillDir = t.TempDir()
+		c.MaxResident = bound
+	})
+	// One stream per request, so the pool pages on every push.
+	for step := 0; step < cut; step++ {
+		for _, id := range ids {
+			doPush(t, ts, pushBody(step, id))
+		}
+	}
+	if n := srv.spill.Len(); n != len(ids)-bound {
+		t.Fatalf("%d streams spilled, want %d", n, len(ids)-bound)
+	}
+
+	getSnapshot := func(query string) core.EngineSnapshot {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/snapshot" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap core.EngineSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	full := getSnapshot("")
+	var got []string
+	for _, st := range full.Streams {
+		got = append(got, st.ID)
+		if st.Detector.Count != cut {
+			t.Fatalf("stream %s snapshotted at count %d, want %d", st.ID, st.Detector.Count, cut)
+		}
+	}
+	if strings.Join(got, ",") != strings.Join(ids, ",") {
+		t.Fatalf("full snapshot streams %v, want %v in id order", got, ids)
+	}
+	if n := srv.eng.Len(); n > bound {
+		t.Fatalf("snapshot faulted streams in: %d resident, bound %d", n, bound)
+	}
+	if d := getSnapshot(fmt.Sprintf("?since=%d", 0)); len(d.Streams) != len(ids) {
+		t.Fatalf("delta since 0 carries %d streams, want %d", len(d.Streams), len(ids))
+	}
+	if d := getSnapshot(fmt.Sprintf("?since=%d", full.Mark)); len(d.Streams) != 0 {
+		t.Fatalf("delta since the full mark carries %v, want none", streamIDs(d))
+	}
+
+	// Restore the envelope onto the same server, then finish the run.
+	blob, _ := json.Marshal(&full)
+	resp, err := http.Post(ts.URL+"/v1/restore", "application/json", strings.NewReader(string(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("restore status %d", resp.StatusCode)
+	}
+	for step := cut; step < steps; step++ {
+		for _, id := range ids {
+			rows := doPush(t, ts, pushBody(step, id))
+			scoredEqual(t, fmt.Sprintf("%s step %d after restore", id, step), rows[0], want[id][step])
+		}
+	}
+}
+
+func streamIDs(snap core.EngineSnapshot) []string {
+	ids := make([]string, len(snap.Streams))
+	for i := range snap.Streams {
+		ids[i] = snap.Streams[i].ID
+	}
+	return ids
 }
 
 // TestRetryAfterDerived: the 429 hint follows the observed batch

@@ -1,16 +1,19 @@
 package server
 
 import (
+	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// FuzzReadRows drives the push decoder with arbitrary bodies. It must
-// never panic, and whenever it accepts a body every row must address a
-// stream and carry a non-empty, rectangular, finite bag, with no more
-// rows than the batch cap.
+// FuzzReadRows drives the push decoder with arbitrary bodies, both as
+// the server reads them (rows, capped) and as the router does (raw
+// lines, uncapped). It must never panic; whenever the server accepts a
+// body every row must address a stream and carry a non-empty,
+// rectangular, finite bag, with no more rows than the batch cap; and
+// the router's view must agree: same verdict below the cap, and one
+// raw line per row that decodes back to that row's stream.
 func FuzzReadRows(f *testing.F) {
 	for _, seed := range []string{
 		`{"stream":"a","bag":[[1.5],[2]]}` + "\n",
@@ -30,9 +33,26 @@ func FuzzReadRows(f *testing.F) {
 	const maxBags = 4
 	s := &Server{cfg: Config{MaxBatchBags: maxBags}}
 	f.Fuzz(func(t *testing.T, body string) {
-		rows, err := s.readRows(httptest.NewRequest("POST", "/v1/push", strings.NewReader(body)))
+		rows, err := s.readRows(strings.NewReader(body))
+		var lines []string
+		rerr := DecodePushRows(strings.NewReader(body), func(_ PushRow, line []byte) error {
+			lines = append(lines, string(line))
+			return nil
+		})
+		if (rerr == nil) != (err == nil) && len(lines) <= maxBags {
+			t.Fatalf("router decode error %v, server decode error %v", rerr, err)
+		}
 		if err != nil {
 			return
+		}
+		if len(lines) != len(rows) {
+			t.Fatalf("router kept %d lines for %d rows", len(lines), len(rows))
+		}
+		for i, line := range lines {
+			var row PushRow
+			if err := json.Unmarshal([]byte(line), &row); err != nil || row.Stream != rows[i].Stream {
+				t.Fatalf("raw line %d %q does not decode to stream %q (%v)", i, line, rows[i].Stream, err)
+			}
 		}
 		if len(rows) > maxBags {
 			t.Fatalf("accepted %d rows, cap is %d", len(rows), maxBags)

@@ -32,7 +32,7 @@ type metrics struct {
 	points          *obs.Counter // inspection points produced
 	rowErrors       *obs.Counter // per-row push errors
 	rejected        *obs.Counter // batches refused with 429
-	evictions       *obs.Counter // idle streams evicted (discard mode)
+	evictions       *obs.Counter // idle streams evicted (spilled or discarded)
 	snapshots       *obs.Counter // snapshots served (full and delta)
 	restores        *obs.Counter // restores applied
 	extractions     *obs.Counter // streams extracted for migration
@@ -78,11 +78,9 @@ func (m *metrics) retryAfterSeconds() int {
 
 // enablePool registers the bounded-pool residency series. peak is the
 // server-maintained high-water mark of concurrently resident streams —
-// the RSS proxy the spill acceptance tests gate on.
-func (m *metrics) enablePool(eng *core.Engine, store *oplog.StreamStore, peak *atomic.Int64) {
-	m.reg.GaugeFunc("bagcpd_pool_resident", "Resident (in-RAM) detector streams.", func() float64 {
-		return float64(eng.Len())
-	})
+// the RSS proxy the spill acceptance tests gate on. The current resident
+// count is bagcpd_streams_open.
+func (m *metrics) enablePool(store *oplog.StreamStore, peak *atomic.Int64) {
 	m.reg.GaugeFunc("bagcpd_pool_resident_peak", "High-water mark of resident detector streams.", func() float64 {
 		return float64(peak.Load())
 	})

@@ -22,7 +22,8 @@
 //	                             live engine — the receiving half of a live
 //	                             migration. 409 if any stream is already open.
 //	GET  /v1/snapshot            the full engine state as a versioned JSON
-//	                             envelope (core.EngineSnapshot). Pushes are
+//	                             envelope (core.EngineSnapshot), spilled
+//	                             streams included. Pushes are
 //	                             paused while the snapshot is taken. With
 //	                             ?since=M, a delta: only streams mutated after
 //	                             mark M (see the envelope's "mark" field).
@@ -46,8 +47,8 @@
 // appended to a write-ahead oplog and group-commit fsynced BEFORE the
 // batch's 200 is written, so a SIGKILL'd instance replays back to
 // exactly the acknowledged prefix of every stream. Checkpoints collapse
-// the log into a full engine envelope (automatic past
-// Config.OplogCheckpointBytes, and on graceful drain). With
+// the log into a full engine envelope (automatic once checkpointBytes
+// of log accumulate, and on graceful drain). With
 // Config.MaxResident the detector pool is bounded: idle streams spill
 // their envelopes to an on-disk stream store instead of being
 // discarded, and a push to a spilled stream faults it back in
@@ -56,15 +57,16 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,14 +102,12 @@ type Config struct {
 	// not (rows can be arbitrarily large). Requests beyond it are
 	// refused with 413. 0 selects DefaultMaxBatchBytes.
 	MaxBatchBytes int64
-	// IdleTTL evicts streams that have not been pushed to for this long:
-	// the stream is closed, its detector recycles into the pool, and its
-	// state is DISCARDED (a later push restarts the stream from scratch —
-	// snapshot first if the state matters). 0 disables eviction.
+	// IdleTTL evicts streams that have not been pushed to for this long.
+	// With a spill store the evicted stream pages out to disk and its next
+	// push resumes it; without one its state is DISCARDED (a later push
+	// restarts the stream from scratch). The janitor sweeps every
+	// IdleTTL/4, but at most once a second. 0 disables eviction.
 	IdleTTL time.Duration
-	// EvictEvery is the eviction sweep period; 0 selects IdleTTL/4
-	// (clamped to at least a second).
-	EvictEvery time.Duration
 	// Logger receives the server's structured operational events
 	// (slow batches, evictions, snapshot/restore/migration spans). nil
 	// discards them.
@@ -125,15 +125,6 @@ type Config struct {
 	// replays the directory's checkpoint + log suffix at startup. Empty
 	// disables durability (the pre-oplog behavior).
 	OplogDir string
-	// OplogSegmentBytes rotates oplog segments past this size. 0 selects
-	// oplog.DefaultSegmentBytes.
-	OplogSegmentBytes int64
-	// OplogCheckpointBytes triggers a background checkpoint (full engine
-	// envelope + log compaction) once this many log bytes accumulate past
-	// the last one. 0 selects DefaultOplogCheckpointBytes; negative
-	// disables auto-checkpointing (explicit Checkpoint calls and the
-	// graceful-drain checkpoint still run).
-	OplogCheckpointBytes int64
 	// SpillDir is the on-disk stream store for spilled idle streams.
 	// Empty with OplogDir set defaults to OplogDir/streams; empty without
 	// an oplog disables spilling (eviction discards, as before).
@@ -142,14 +133,6 @@ type Config struct {
 	// that would exceed it spill the least-recently-pushed streams first.
 	// Requires a spill store. 0 means unbounded.
 	MaxResident int
-	// EvictBatch bounds how many streams one eviction sweep closes (or
-	// spills) per exclusive-lock acquisition — pushes interleave between
-	// batches instead of stalling behind a whole O(streams) sweep. 0
-	// selects DefaultEvictBatch.
-	EvictBatch int
-	// MaxEvictPerSweep caps the total streams one sweep may evict; the
-	// remainder waits for the next sweep. 0 means no cap.
-	MaxEvictPerSweep int
 }
 
 // Defaults for Config's zero values.
@@ -158,8 +141,12 @@ const (
 	DefaultMaxBatchBags  = 65536
 	DefaultMaxBatchBytes = 64 << 20
 	DefaultSlowPush      = time.Second
-	DefaultEvictBatch    = 64
 )
+
+// evictBatch bounds how many streams one eviction sweep closes (or
+// spills) per exclusive-lock acquisition: pushes interleave between
+// batches instead of stalling behind a whole O(streams) sweep.
+const evictBatch = 64
 
 // Server is the HTTP front-end. Create with New, mount as an
 // http.Handler, and Close when done (stops the eviction janitor).
@@ -267,10 +254,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if cfg.IdleTTL > 0 {
-		every := cfg.EvictEvery
-		if every <= 0 {
-			every = cfg.IdleTTL / 4
-		}
+		every := cfg.IdleTTL / 4
 		if every < time.Second {
 			every = time.Second
 		}
@@ -303,8 +287,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// pushRow is one NDJSON ingest row.
-type pushRow struct {
+// PushRow is one NDJSON ingest row of POST /v1/push.
+type PushRow struct {
 	Stream string      `json:"stream"`
 	Bag    [][]float64 `json:"bag"`
 }
@@ -352,7 +336,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	// byte-capped — the row cap alone would let one request buffer
 	// unbounded memory before any limit trips.
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
-	rows, err := s.readRows(r)
+	rows, err := s.readRows(r.Body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -510,51 +494,69 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	s.maybeCheckpoint()
 }
 
-// readRows parses the request body as NDJSON push rows.
-func (s *Server) readRows(r *http.Request) ([]pushRow, error) {
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	var rows []pushRow
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var row pushRow
-		if err := json.Unmarshal([]byte(text), &row); err != nil {
-			return nil, lineErr(sc, line, err)
-		}
-		if row.Stream == "" {
-			return nil, lineErr(sc, line, errors.New("missing stream id"))
-		}
-		if len(row.Bag) == 0 {
-			return nil, lineErr(sc, line, errors.New("empty bag"))
-		}
-		if err := (bag.Bag{Points: row.Bag}).Validate(); err != nil {
-			return nil, lineErr(sc, line, err)
-		}
+// readRows parses a push body into at most MaxBatchBags rows.
+func (s *Server) readRows(body io.Reader) ([]PushRow, error) {
+	var rows []PushRow
+	err := DecodePushRows(body, func(row PushRow, _ []byte) error {
 		rows = append(rows, row)
 		if len(rows) > s.cfg.MaxBatchBags {
-			return nil, fmt.Errorf("batch exceeds %d bags", s.cfg.MaxBatchBags)
+			return fmt.Errorf("batch exceeds %d bags", s.cfg.MaxBatchBags)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
 
-// lineErr reports a per-line parse error — unless the scanner already hit
-// a read error (the byte cap truncating the final line mid-token): the
-// scanner still yields the truncated tail as a token, and the truncation,
-// not the garbage it produced, is the real failure.
-func lineErr(sc *bufio.Scanner, line int, err error) error {
-	if scErr := sc.Err(); scErr != nil {
-		return fmt.Errorf("reading body: %w", scErr)
+// DecodePushRows is the NDJSON push-row decoder the server and the
+// router share. Blank lines are skipped; any other line must parse, name
+// a stream and carry a non-empty valid bag, or decoding stops with a
+// "line N: ..." error. fn sees each accepted row with its trimmed line,
+// which aliases the read buffer and is valid only during the call; an
+// error from fn stops decoding and is returned as is. A read error —
+// the body's byte cap truncating the last line mid-token — is returned
+// wrapped ("reading body: %w"), even when the truncated tail also
+// failed to parse: the truncation is the real failure.
+func DecodePushRows(body io.Reader, fn func(row PushRow, line []byte) error) error {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	lineErr := func(line int, err error) error {
+		if scErr := sc.Err(); scErr != nil {
+			return fmt.Errorf("reading body: %w", scErr)
+		}
+		return fmt.Errorf("line %d: %v", line, err)
 	}
-	return fmt.Errorf("line %d: %v", line, err)
+	var row PushRow // reused: decoding into it escapes, so one allocation per body
+	line := 0
+	for sc.Scan() {
+		line++
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
+			continue
+		}
+		row = PushRow{}
+		if err := json.Unmarshal(text, &row); err != nil {
+			return lineErr(line, err)
+		}
+		if row.Stream == "" {
+			return lineErr(line, errors.New("missing stream id"))
+		}
+		if len(row.Bag) == 0 {
+			return lineErr(line, errors.New("empty bag"))
+		}
+		if err := (bag.Bag{Points: row.Bag}).Validate(); err != nil {
+			return lineErr(line, err)
+		}
+		if err := fn(row, text); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("reading body: %w", err)
+	}
+	return nil
 }
 
 // streamInfo is one row of GET /v1/streams.
@@ -654,6 +656,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		snap, err = s.eng.SnapshotDelta(since)
 	} else {
 		snap, err = s.eng.Snapshot()
+	}
+	if err == nil {
+		err = s.addSpilledLocked(snap, since)
 	}
 	s.state.Unlock()
 	if err != nil {
@@ -919,59 +924,30 @@ func (s *Server) forget(id string) {
 // EvictIdle evicts streams idle for at least ttl and returns the
 // evicted ids (sorted). With a spill store the stream's envelope pages
 // out to disk (a later push faults it back in, bit-identical);
-// otherwise its state is discarded as before. The janitor calls it
-// periodically; tests call it directly with a synthetic clock.
+// otherwise its state is discarded. The janitor calls it periodically;
+// tests call it directly with a synthetic clock.
 //
-// The sweep no longer holds the exclusive phase lock for its whole
-// O(streams) duration — that stalled every push behind the slowest
-// sweep. Instead the idle census runs under the bookkeeping mutex only,
-// and the candidates are then processed in bounded batches, each under
-// a brief exclusive acquisition that RE-CHECKS the candidate's idle
+// The sweep does not hold the exclusive phase lock for its whole
+// O(streams) duration — that would stall every push behind the slowest
+// sweep. The idle census runs under the bookkeeping mutex only, and the
+// candidates are then processed in batches of evictBatch, each under a
+// brief exclusive acquisition that RE-CHECKS the candidate's idle
 // stamp: a stream pushed between census and batch has a newer stamp and
-// is spared, so the old "evicted out from under its acknowledgement"
-// guarantee still holds, now per batch instead of per sweep.
+// is spared, so no stream is evicted out from under an acknowledgement.
 func (s *Server) EvictIdle(ttl time.Duration) []string {
 	now := s.now()
-	type cand struct {
-		id   string
-		last time.Time
-	}
-	ids := s.eng.StreamIDs()
-	cands := make([]cand, 0, len(ids))
-	s.mu.Lock()
-	for _, id := range ids {
-		last, seen := s.lastPush[id]
+	cands := s.lruCandidates(func(id string, last time.Time, seen bool) bool {
 		if !seen {
 			// A stream the server has no stamp for (restored then never
 			// pushed, or opened out-of-band): start its idle clock now.
 			s.lastPush[id] = now
-			continue
+			return false
 		}
-		if now.Sub(last) >= ttl {
-			cands = append(cands, cand{id, last})
-		}
-	}
-	s.mu.Unlock()
-	// Oldest first, so a per-sweep cap sheds the longest-idle state.
-	sort.Slice(cands, func(i, j int) bool {
-		if !cands[i].last.Equal(cands[j].last) {
-			return cands[i].last.Before(cands[j].last)
-		}
-		return cands[i].id < cands[j].id
+		return now.Sub(last) >= ttl
 	})
-	if max := s.cfg.MaxEvictPerSweep; max > 0 && len(cands) > max {
-		cands = cands[:max]
-	}
-	batchSize := s.cfg.EvictBatch
-	if batchSize <= 0 {
-		batchSize = DefaultEvictBatch
-	}
 	var evicted []string
-	for lo := 0; lo < len(cands); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(cands) {
-			hi = len(cands)
-		}
+	for lo := 0; lo < len(cands); lo += evictBatch {
+		hi := min(lo+evictBatch, len(cands))
 		s.state.Lock()
 		victims := make([]string, 0, hi-lo)
 		s.mu.Lock()
@@ -990,21 +966,15 @@ func (s *Server) EvictIdle(ttl time.Duration) []string {
 		if s.spill != nil {
 			evicted = append(evicted, s.spillStreamsLocked(victims)...)
 		} else {
-			// Discard mode: the state is gone, so with an oplog the close
-			// must be durable before the teardown (a crash between the two
-			// would otherwise resurrect the stream).
-			if err := s.logCloseLocked(victims...); err != nil {
-				s.log.Error("eviction close records failed; keeping streams", "streams", len(victims), "error", err)
-				s.state.Unlock()
-				break
-			}
+			// Discard mode. Setting OplogDir defaults SpillDir, so there is
+			// no oplog here either and no close record to write.
 			for _, id := range victims {
 				if st, ok := s.eng.Get(id); ok {
 					st.Close()
-					s.forget(id)
-					evicted = append(evicted, id)
 				}
+				s.forget(id)
 			}
+			evicted = append(evicted, victims...)
 		}
 		s.state.Unlock()
 		if s.sweepPause != nil && hi < len(cands) {
@@ -1021,6 +991,36 @@ func (s *Server) EvictIdle(ttl time.Duration) []string {
 			"duration", s.now().Sub(now).Seconds())
 	}
 	return evicted
+}
+
+// lruCand is a resident stream and its last push stamp.
+type lruCand struct {
+	id   string
+	last time.Time
+}
+
+// lruCandidates returns the resident streams pick admits, least recently
+// pushed first (ties by id) — the order both idle eviction and pool
+// spilling shed state in. pick runs under the bookkeeping mutex with
+// the stream's stamp; seen is false when the server has none.
+func (s *Server) lruCandidates(pick func(id string, last time.Time, seen bool) bool) []lruCand {
+	ids := s.eng.StreamIDs()
+	cands := make([]lruCand, 0, len(ids))
+	s.mu.Lock()
+	for _, id := range ids {
+		last, seen := s.lastPush[id]
+		if pick(id, last, seen) {
+			cands = append(cands, lruCand{id, last})
+		}
+	}
+	s.mu.Unlock()
+	sort.Slice(cands, func(i, j int) bool {
+		if !cands[i].last.Equal(cands[j].last) {
+			return cands[i].last.Before(cands[j].last)
+		}
+		return cands[i].id < cands[j].id
+	})
+	return cands
 }
 
 func (s *Server) janitor(every time.Duration) {

@@ -389,7 +389,9 @@ type Server = server.Server
 
 // ServerConfig parameterizes NewServer: the Engine it fronts (required),
 // MaxInFlight push batches (back-pressure; 429 beyond it), MaxBatchBags
-// per request, and the IdleTTL/EvictEvery eviction knobs.
+// and MaxBatchBytes per request, IdleTTL eviction, logging (Logger,
+// SlowPush), and durability: the OplogDir write-ahead log, the SpillDir
+// stream store and the MaxResident pool bound.
 type ServerConfig = server.Config
 
 // NewServer validates cfg and returns a ready HTTP front-end; mount it
@@ -412,7 +414,8 @@ type Router = router.Router
 
 // RouterConfig parameterizes NewRouter: the static Members list
 // (required), hash-ring Replicas per member, the HTTP Client used for
-// forwarding, and the MaxBatchBytes push-body bound.
+// forwarding, and the Logger. Push bodies are capped at the member
+// default, server.DefaultMaxBatchBytes.
 type RouterConfig = router.Config
 
 // NewRouter validates cfg and returns a ready router; mount it as an
