@@ -16,10 +16,10 @@
 // moments of weighted multinomial resampling.
 //
 // Replicates are organized in fixed-size shards, each driven by its own
-// RNG stream derived with randx.SplitSeed from a single base draw. The
-// result is therefore bit-identical for a given seed no matter how many
-// worker goroutines execute the shards — parallelism is a pure throughput
-// knob. The Estimator type owns all scratch (Dirichlet parameters, weight
+// xoshiro256++ stream (randx.NewFast) derived with randx.SplitSeed from a
+// single base seed. The result is therefore bit-identical for a given
+// seed no matter how many worker goroutines execute the shards —
+// parallelism is a pure throughput knob. The Estimator type owns all scratch (Dirichlet parameters, weight
 // vectors, the replicate score buffer, shard RNGs) so a warm Estimator
 // computes intervals with zero steady-state allocations.
 package bootstrap
@@ -123,8 +123,8 @@ type Estimator struct {
 func NewEstimator() *Estimator { return &Estimator{} }
 
 // NewSeededEstimator returns an estimator with persistent shard streams:
-// shard k is driven by the stream New(SplitSeed(seed, k)), created once
-// and advanced across calls, so no reseeding cost is ever paid. The
+// shard k is driven by the stream NewFast(SplitSeed(seed, k)), created
+// once and advanced across calls, so no reseeding cost is ever paid. The
 // sequence of intervals is a deterministic function of seed and the call
 // sequence, and — like the per-call mode — bit-identical regardless of
 // Config.Workers. The rng argument of Interval is ignored (may be nil).
@@ -140,16 +140,9 @@ func NewSeededEstimator(seed int64) *Estimator {
 // recycle a warm estimator for a new stream without reallocating its
 // shard RNGs — the subsequent interval sequence is bit-identical to a
 // freshly seeded estimator's. Calling it on a per-call estimator
-// (NewEstimator) converts it to persistent mode; in that case the
-// existing shard RNGs are discarded because the two modes use different
-// generator backends.
+// (NewEstimator) converts it to persistent mode.
 func (e *Estimator) ResetStreams(seed int64) {
-	if !e.persistent {
-		// Per-call shards are xoshiro-backed while persistent streams are
-		// stdlib-backed; they cannot be rewound in place.
-		e.shards = nil
-		e.persistent = true
-	}
+	e.persistent = true
 	e.seedBase = seed
 	for k := range e.shards {
 		e.shards[k].rng.Reseed(randx.SplitSeed(seed, int64(k)))
@@ -164,9 +157,10 @@ type StreamState struct {
 	// Seed is the estimator's base seed (shard k's stream derives from
 	// SplitSeed(Seed, k)).
 	Seed int64 `json:"seed"`
-	// Shards holds the position of every shard stream materialized so
-	// far; shards beyond the slice haven't been created yet and restore
-	// implicitly (a lazily-created shard always starts at draw 0).
+	// Shards holds the xoshiro state words of every shard stream
+	// materialized so far; shards beyond the slice haven't been created
+	// yet and restore implicitly (a lazily-created shard always starts at
+	// its seeded position).
 	Shards []randx.State `json:"shards"`
 }
 
@@ -180,25 +174,26 @@ func (e *Estimator) StreamState() (StreamState, error) {
 	}
 	st := StreamState{Seed: e.seedBase, Shards: make([]randx.State, len(e.shards))}
 	for k := range e.shards {
-		st.Shards[k] = e.shards[k].rng.State()
+		var err error
+		if st.Shards[k], err = e.shards[k].rng.State(); err != nil {
+			return StreamState{}, fmt.Errorf("bootstrap: shard %d: %w", k, err)
+		}
 	}
 	return st, nil
 }
 
 // RestoreStreams positions the estimator's persistent shard streams at
-// st: existing shard RNGs are rewound and replayed in place, missing ones
+// st: existing shard RNGs take st's state words in place, missing ones
 // are created, and shards beyond st.Shards are rewound to their initial
 // position (matching an uninterrupted run, where they would not have been
-// created yet). After RestoreStreams the estimator's interval sequence is
-// bit-identical to the estimator StreamState was captured from. Like
-// ResetStreams, calling it on a per-call estimator converts it to
-// persistent mode (discarding the incompatible fast-seed shard RNGs).
+// created yet). The cost is a copy per shard, independent of how many
+// intervals the captured estimator had computed. After RestoreStreams the
+// estimator's interval sequence is bit-identical to the estimator
+// StreamState was captured from. Like ResetStreams, calling it on a
+// per-call estimator converts it to persistent mode.
 func (e *Estimator) RestoreStreams(st StreamState) error {
 	e.ResetStreams(st.Seed)
-	for len(e.shards) < len(st.Shards) {
-		k := int64(len(e.shards))
-		e.shards = append(e.shards, shardState{rng: randx.New(randx.SplitSeed(st.Seed, k))})
-	}
+	e.growShards(len(st.Shards))
 	for k := range st.Shards {
 		if err := e.shards[k].rng.Restore(st.Shards[k]); err != nil {
 			return fmt.Errorf("bootstrap: shard %d: %w", k, err)
@@ -248,18 +243,7 @@ func (e *Estimator) Interval(score ScoreFunc, baseRef, baseTest []float64, cfg C
 		e.scores = make([]float64, T)
 	}
 	e.scores = e.scores[:T]
-	for len(e.shards) < e.numShards {
-		k := int64(len(e.shards))
-		if e.persistent {
-			// Long-lived stream, never reseeded: the seeding cost is paid
-			// once per shard for the estimator's lifetime.
-			e.shards = append(e.shards, shardState{rng: randx.New(randx.SplitSeed(e.seedBase, k))})
-		} else {
-			// Fast-seed RNGs: each interval reseeds every shard stream, so
-			// O(1) reseeding matters more than matching New's stream.
-			e.shards = append(e.shards, shardState{rng: randx.NewFast(0)})
-		}
-	}
+	e.growShards(e.numShards)
 	for k := 0; k < e.numShards; k++ {
 		s := &e.shards[k]
 		s.gRef = growFloats(s.gRef, len(baseRef))
@@ -295,6 +279,15 @@ func (e *Estimator) Interval(score ScoreFunc, baseRef, baseTest []float64, cfg C
 	lo := quantileSelect(e.scores, cfg.Alpha/2)
 	up := quantileSelect(e.scores, 1-cfg.Alpha/2)
 	return Interval{Lo: lo, Up: up, Point: score(baseRef, baseTest)}, nil
+}
+
+// growShards materializes shard streams up to n. A new shard k starts at
+// NewFast(SplitSeed(seedBase, k)): its persistent stream's initial
+// position, and in per-call mode a placeholder reseeded before use.
+func (e *Estimator) growShards(n int) {
+	for k := len(e.shards); k < n; k++ {
+		e.shards = append(e.shards, shardState{rng: randx.NewFast(randx.SplitSeed(e.seedBase, int64(k)))})
+	}
 }
 
 // runWorker drains shard indices until none remain.

@@ -22,8 +22,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bootstrap"
 	"repro/internal/randx"
@@ -76,7 +74,17 @@ import (
 // different equally-optimal basis, so restoring it here could move the
 // last bits of its scores with no fingerprint field disagreeing. v4
 // envelopes are refused outright, as v1–v3 were.
-const SnapshotVersion = 5
+//
+// v6 moved every checkpointed RNG — the bootstrap shard streams and the
+// k-means/k-medoids builder streams — from the stdlib source onto
+// xoshiro256++, and an RNG position is now its four state words
+// ({"s":[…]}) instead of a (kind, seed, draws) triple that restore
+// replayed draw by draw. Restore is therefore a copy, O(1) in stream
+// age. The streams themselves changed, so the same seed draws different
+// bootstrap weights and k-means++ centers than under v5, and a v5
+// position names a stdlib stream this code no longer runs: v5 envelopes
+// are refused outright.
+const SnapshotVersion = 6
 
 // SignatureState is one window signature in serializable form.
 type SignatureState struct {
@@ -142,7 +150,10 @@ func (d *Detector) Snapshot() (*DetectorState, error) {
 		st.History = append(st.History, IntervalState{T: t, Lo: iv.Lo, Up: iv.Up, Pt: iv.Point})
 	}
 	if snap, ok := d.cfg.Builder.(signature.RNGSnapshotter); ok {
-		rs := snap.RNGState()
+		rs, err := snap.RNGState()
+		if err != nil {
+			return nil, fmt.Errorf("core: snapshot builder RNG: %w", err)
+		}
 		st.BuilderRNG = &rs
 	}
 	return st, nil
@@ -295,10 +306,10 @@ func (e *Engine) fingerprint() EngineSnapshot {
 // ValidateSnapshot checks that snap could be restored onto this engine —
 // the schema version is readable, the configuration fingerprint
 // (seed, τ, τ′, statistic name, weighting, raw-mass, log-floor,
-// replicates, α, builder tag) matches, and no stream is named twice —
-// without touching any state. A server front-end
-// calls it BEFORE tearing down live streams, so a rejected envelope
-// leaves the receiving engine exactly as it was.
+// replicates, α, builder tag) matches, no stream is named twice, and no
+// RNG position is the all-zero xoshiro state — without touching any
+// state. A server front-end calls it BEFORE tearing down live streams,
+// so a rejected envelope leaves the receiving engine exactly as it was.
 func (e *Engine) ValidateSnapshot(snap *EngineSnapshot) error {
 	if snap.Version != SnapshotVersion {
 		return fmt.Errorf("core: snapshot version %d, this engine reads version %d", snap.Version, SnapshotVersion)
@@ -321,6 +332,15 @@ func (e *Engine) ValidateSnapshot(snap *EngineSnapshot) error {
 			return fmt.Errorf("core: snapshot names stream %q twice", id)
 		}
 		seen[id] = true
+		det := &snap.Streams[i].Detector
+		for k, sh := range det.Bootstrap.Shards {
+			if sh == (randx.State{}) {
+				return fmt.Errorf("core: snapshot stream %q: bootstrap shard %d has the all-zero RNG state", id, k)
+			}
+		}
+		if det.BuilderRNG != nil && *det.BuilderRNG == (randx.State{}) {
+			return fmt.Errorf("core: snapshot stream %q: builder has the all-zero RNG state", id)
+		}
 	}
 	return nil
 }
@@ -423,13 +443,9 @@ func (e *Engine) snapshotWhere(keep func(id string, dirty uint64) bool, partial 
 // other's snapshots instead of silently diverging. On error the engine
 // may hold a partially restored stream set; CloseAll before retrying.
 //
-// Cost: restoring RNG stream positions is an exact REPLAY — O(draws
-// consumed so far) per bootstrap shard and builder stream, the price of
-// bit-identity on the historical stdlib stream (whose internal state is
-// not exportable). Streams restore in parallel across the engine's
-// worker budget, but a fleet of very long-lived streams still pays
-// seconds per ~10⁵ pushes of per-stream history; snapshot/restore is a
-// rebalancing primitive, not a hot-path operation.
+// Cost: each stream's restore copies its window, matrix and history and
+// the state words of its RNG streams, so it is proportional to the
+// envelope's size and independent of how many bags the stream has seen.
 func (e *Engine) Restore(snap *EngineSnapshot) error {
 	if err := e.ValidateSnapshot(snap); err != nil {
 		return err
@@ -448,13 +464,7 @@ func (e *Engine) Restore(snap *EngineSnapshot) error {
 		}
 		streams[i] = st
 	}
-	errs := e.rewindStreams(streams, snap.Streams)
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("core: restore stream %q: %w", snap.Streams[i].ID, err)
-		}
-	}
-	return nil
+	return rewindStreams(streams, snap.Streams)
 }
 
 // RestoreStreams merges the envelope's streams into this engine — the
@@ -493,55 +503,26 @@ func (e *Engine) RestoreStreams(snap *EngineSnapshot) error {
 		}
 		streams[i] = st
 	}
-	errs := e.rewindStreams(streams, snap.Streams)
-	for i, err := range errs {
-		if err != nil {
-			rollback(len(streams))
-			return fmt.Errorf("core: restore stream %q: %w", snap.Streams[i].ID, err)
-		}
+	if err := rewindStreams(streams, snap.Streams); err != nil {
+		rollback(len(streams))
+		return err
 	}
 	return nil
 }
 
-// rewindStreams rewinds each stream's detector to its snapshot state.
-// Detector rewinds are independent per stream and dominated by RNG
-// replay, so they fan across the worker budget. Restored streams are
-// stamped dirty: relative to any mark taken before the restore, their
-// state IS new on this engine.
-func (e *Engine) rewindStreams(streams []*Stream, snaps []StreamSnapshot) []error {
-	errs := make([]error, len(streams))
-	restore := func(i int) {
-		st := streams[i]
+// rewindStreams rewinds each stream's detector to its snapshot state,
+// stopping at the first error. Restored streams are stamped dirty:
+// relative to any mark taken before the restore, their state IS new on
+// this engine.
+func rewindStreams(streams []*Stream, snaps []StreamSnapshot) error {
+	for i, st := range streams {
 		st.mu.Lock()
 		st.markDirtyLocked()
-		errs[i] = st.det.RestoreSnapshot(&snaps[i].Detector)
+		err := st.det.RestoreSnapshot(&snaps[i].Detector)
 		st.mu.Unlock()
-	}
-	workers := e.cfg.Workers
-	if workers > len(streams) {
-		workers = len(streams)
-	}
-	if workers <= 1 {
-		for i := range streams {
-			restore(i)
+		if err != nil {
+			return fmt.Errorf("core: restore stream %q: %w", snaps[i].ID, err)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(streams) {
-						return
-					}
-					restore(i)
-				}
-			}()
-		}
-		wg.Wait()
 	}
-	return errs
+	return nil
 }

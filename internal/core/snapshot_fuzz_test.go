@@ -11,33 +11,6 @@ import (
 	"repro/internal/signature"
 )
 
-// restoreReplayBudget caps the RNG draws a fuzzed envelope may ask
-// Restore to replay. Restoring a stream position is an exact replay,
-// O(draws) by design (see Engine.Restore), so an envelope claiming 10¹⁸
-// draws is slow, not wrong; the fuzzer skips such inputs instead of
-// timing out on them.
-const restoreReplayBudget = 1 << 20
-
-// replayDraws sums every RNG position the envelope asks Restore to
-// replay, saturating at the budget.
-func replayDraws(env *EngineSnapshot) uint64 {
-	var total uint64
-	add := func(d uint64) {
-		if total += d; total < d || total > restoreReplayBudget {
-			total = restoreReplayBudget + 1
-		}
-	}
-	for _, st := range env.Streams {
-		for _, sh := range st.Detector.Bootstrap.Shards {
-			add(sh.Draws)
-		}
-		if st.Detector.BuilderRNG != nil {
-			add(st.Detector.BuilderRNG.Draws)
-		}
-	}
-	return total
-}
-
 // canonicalEnvelope is the JSON an envelope must round-trip to: the
 // engine-local Mark cleared, streams in id order (Snapshot's order),
 // and nil slices marshalled as empty ones (JSON null and [] decode to
@@ -134,17 +107,14 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(oneBlob)
-	f.Add(bytes.Replace(full, []byte(`"version":5`), []byte(`"version":4`), 1))
-	f.Add([]byte(`{"version":5,"seed":42,"tau":3,"tau_prime":3,"statistic":"kl","streams":[]}`))
+	f.Add(bytes.Replace(full, []byte(`"version":6`), []byte(`"version":5`), 1))
+	f.Add([]byte(`{"version":6,"seed":42,"tau":3,"tau_prime":3,"statistic":"kl","streams":[]}`))
 	f.Add([]byte(`{}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env EngineSnapshot
 		if err := json.Unmarshal(data, &env); err != nil {
 			return
-		}
-		if replayDraws(&env) > restoreReplayBudget {
-			t.Skip("replay cost past the fuzz budget")
 		}
 		eng := newTestEngine(t, factory, 1)
 		defer eng.Shutdown()

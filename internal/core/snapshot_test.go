@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -270,13 +271,11 @@ func TestEngineRestoreValidation(t *testing.T) {
 			t.Fatalf("v3 refusal error %q does not name the versions (%q)", err, want)
 		}
 	})
-	t.Run("v4-envelope-refused", func(t *testing.T) {
-		// A v4 envelope may carry scores from the retired full-refill
-		// simplex (every stream whose signatures were below the old
-		// 128-center threshold). It must be refused by version — by
-		// ValidateSnapshot, Restore and RestoreStreams alike — with an
-		// error naming both versions, even though every remaining
-		// fingerprint field still matches.
+	// refusedByVersion relabels the fixture as a version-v envelope and
+	// requires ValidateSnapshot, Restore and RestoreStreams alike to
+	// refuse it with an error naming both versions, leaving no stream
+	// open, even though every remaining fingerprint field still matches.
+	refusedByVersion := func(t *testing.T, v int) {
 		blob, err := json.Marshal(snap)
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +284,7 @@ func TestEngineRestoreValidation(t *testing.T) {
 		if err := json.Unmarshal(blob, &wire); err != nil {
 			t.Fatal(err)
 		}
-		wire["version"] = json.RawMessage("4")
+		wire["version"] = json.RawMessage(fmt.Sprint(v))
 		legacy, err := json.Marshal(wire)
 		if err != nil {
 			t.Fatal(err)
@@ -294,7 +293,7 @@ func TestEngineRestoreValidation(t *testing.T) {
 		if err := json.Unmarshal(legacy, &old); err != nil {
 			t.Fatal(err)
 		}
-		want := "snapshot version 4, this engine reads version 5"
+		want := fmt.Sprintf("snapshot version %d, this engine reads version %d", v, SnapshotVersion)
 		target := newTestEngine(t, factory, 1)
 		for name, apply := range map[string]func(*EngineSnapshot) error{
 			"ValidateSnapshot": target.ValidateSnapshot,
@@ -303,15 +302,26 @@ func TestEngineRestoreValidation(t *testing.T) {
 		} {
 			err := apply(&old)
 			if err == nil {
-				t.Fatalf("%s accepted a v4 envelope", name)
+				t.Fatalf("%s accepted a v%d envelope", name, v)
 			}
 			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s: v4 refusal error %q does not name the versions (%q)", name, err, want)
+				t.Fatalf("%s: v%d refusal error %q does not name the versions (%q)", name, v, err, want)
 			}
 		}
 		if n := target.Len(); n != 0 {
-			t.Fatalf("refused v4 envelope left %d streams open", n)
+			t.Fatalf("refused v%d envelope left %d streams open", v, n)
 		}
+	}
+	t.Run("v4-envelope-refused", func(t *testing.T) {
+		// A v4 envelope may carry scores from the retired full-refill
+		// simplex (every stream whose signatures were below the old
+		// 128-center threshold).
+		refusedByVersion(t, 4)
+	})
+	t.Run("v5-envelope-refused", func(t *testing.T) {
+		// A v5 envelope's RNG positions name stdlib streams, which no
+		// checkpointed RNG runs on any more.
+		refusedByVersion(t, 5)
 	})
 	t.Run("statistic-mismatch", func(t *testing.T) {
 		// Same schema version, different statistic name: the fingerprint
@@ -339,7 +349,7 @@ func TestEngineRestoreValidation(t *testing.T) {
 	t.Run("builder-statefulness-mismatch", func(t *testing.T) {
 		bad := *snap
 		bad.Streams = append([]StreamSnapshot(nil), snap.Streams...)
-		st := randx.New(1).State()
+		st := randx.State{S: [4]uint64{1, 2, 3, 4}}
 		bad.Streams[0].Detector.BuilderRNG = &st
 		target := newTestEngine(t, factory, 1)
 		if err := target.Restore(&bad); err == nil {
@@ -385,6 +395,74 @@ func TestEngineRestoreValidation(t *testing.T) {
 			t.Fatalf("expected history-order refusal, got %v", err)
 		}
 	})
+	// An all-zero xoshiro state is a fixed point that would emit zeros
+	// forever. ValidateSnapshot refuses it, so a merge leaves a live
+	// stream untouched and a full restore opens nothing.
+	refusedZeroRNG := func(t *testing.T, factory signature.BuilderFactory, bags []bag.Bag, zero func(*DetectorState)) {
+		src := newTestEngine(t, factory, 1)
+		for _, b := range bags {
+			if _, err := src.PushBatch([]StreamBag{{StreamID: "z", Bag: b}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live, err := src.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad, err := src.SnapshotStreams("z")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad.Streams[0].ID = "fresh"
+		zero(&bad.Streams[0].Detector)
+		if err := src.RestoreStreams(bad); err == nil || !strings.Contains(err.Error(), "all-zero") {
+			t.Fatalf("expected all-zero RNG refusal on merge, got %v", err)
+		}
+		after, err := src.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(canonicalEnvelope(t, live), canonicalEnvelope(t, after)) {
+			t.Fatal("a refused merge changed the engine's streams")
+		}
+		bad.Partial = false
+		target := newTestEngine(t, factory, 1)
+		if err := target.Restore(bad); err == nil || !strings.Contains(err.Error(), "all-zero") {
+			t.Fatalf("expected all-zero RNG refusal on restore, got %v", err)
+		}
+		if n := target.Len(); n != 0 {
+			t.Fatalf("refused restore left %d streams open", n)
+		}
+	}
+	t.Run("all-zero-shard-state", func(t *testing.T) {
+		refusedZeroRNG(t, factory, streamBags("z", 8), func(d *DetectorState) {
+			if len(d.Bootstrap.Shards) == 0 {
+				t.Fatal("fixture has no bootstrap shard")
+			}
+			d.Bootstrap.Shards[0] = randx.State{}
+		})
+	})
+	t.Run("all-zero-builder-state", func(t *testing.T) {
+		kmeans := signature.KMeansFactory(3, cluster.Config{MaxIters: 10})
+		refusedZeroRNG(t, kmeans, streamBags2D("z", 8), func(d *DetectorState) {
+			d.BuilderRNG = &randx.State{}
+		})
+	})
+}
+
+// TestDetectorSnapshotStdBuilderErrors: a k-means builder built by hand
+// on a stdlib RNG has no exportable position, so Snapshot must fail
+// loudly instead of writing an envelope that cannot resume bit-identically.
+func TestDetectorSnapshotStdBuilderErrors(t *testing.T) {
+	cfg := engineTemplate()
+	cfg.Builder = signature.NewKMeansBuilder(3, cluster.Config{MaxIters: 10}, randx.New(1))
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Snapshot(); err == nil || !strings.Contains(err.Error(), "builder RNG") {
+		t.Fatalf("expected a builder RNG snapshot error, got %v", err)
+	}
 }
 
 // TestEngineShutdown: Shutdown closes every stream into the pool, is

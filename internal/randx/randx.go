@@ -3,9 +3,17 @@
 // multivariate normal, Poisson, gamma, Dirichlet, exponential, and
 // categorical draws. All generators consume an explicit *RNG so every
 // experiment in the repository is reproducible from a single seed.
+//
+// Two source backends exist. New wraps the stdlib source, the historical
+// stream every experiment's data seeds were chosen against. NewFast wraps
+// xoshiro256++, whose whole state is four words: it is the backend of
+// every stream a detector checkpoints (bootstrap shards, randomized
+// signature builders), because State and Restore copy those words and so
+// cost O(1) whatever the stream's age.
 package randx
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,122 +23,64 @@ import (
 
 // RNG is the random source for all samplers. It wraps math/rand.Rand so a
 // single seeded stream drives an entire experiment.
-//
-// Every RNG tracks its stream position — the seed it was last (re)seeded
-// with and the number of values drawn from its source since — so its
-// exact state can be exported with State and reproduced with Restore or
-// FromState. This is what lets a streaming detector checkpoint mid-run
-// and resume bit-identically: both source backends advance one step per
-// drawn value regardless of which sampler consumed it, so replaying the
-// same number of draws lands on the same stream position.
 type RNG struct {
 	*rand.Rand
-	src   rand.Source
-	kind  string
-	seed  int64
-	draws uint64
+	src rand.Source
 }
 
-// Source kinds of State: the stdlib source (New) and the xoshiro256++
-// source (NewFast). The two produce different streams, so a state can
-// only be restored onto the backend that produced it.
-const (
-	KindStd  = "std"
-	KindFast = "fast"
-)
-
-// State is the serializable position of an RNG stream: restore it with
-// (*RNG).Restore or FromState to obtain a generator whose future draws
-// are bit-identical to the original's.
+// State is the serializable position of a NewFast RNG: its four
+// xoshiro256++ state words. Restore it with (*RNG).Restore to obtain a
+// generator whose future draws are bit-identical to the original's.
+// encoding/json round-trips uint64 values exactly.
 type State struct {
-	Kind  string `json:"kind"`
-	Seed  int64  `json:"seed"`
-	Draws uint64 `json:"draws"`
+	S [4]uint64 `json:"s"`
 }
-
-// countedSource wraps a Source64 and bumps the owning RNG's draw counter
-// on every value pulled, whichever method pulls it. Both backends advance
-// exactly one internal step per Int63/Uint64 call, so the counter is a
-// faithful stream position.
-type countedSource struct {
-	inner rand.Source64
-	n     *uint64
-}
-
-func (c *countedSource) Int63() int64 {
-	*c.n++
-	return c.inner.Int63()
-}
-
-func (c *countedSource) Uint64() uint64 {
-	*c.n++
-	return c.inner.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) { c.inner.Seed(seed) }
 
 // New returns an RNG seeded with seed, backed by the stdlib source (the
-// historical stream every experiment's seeds were chosen against).
+// historical stream every experiment's seeds were chosen against). Its
+// state cannot be exported: State errors for it.
 func New(seed int64) *RNG {
-	r := &RNG{kind: KindStd, seed: seed}
-	src := &countedSource{inner: rand.NewSource(seed).(rand.Source64), n: &r.draws}
-	r.src = src
-	r.Rand = rand.New(src)
-	return r
+	src := rand.NewSource(seed)
+	return &RNG{Rand: rand.New(src), src: src}
 }
 
 // NewFast returns an RNG backed by a xoshiro256++ source (Blackman &
 // Vigna 2018). Its stream differs from New's, but seeding — and therefore
 // Reseed — is O(1), where the stdlib source pays a ~600-word feedback
-// register initialization. Use it for short-lived derived streams that
-// are reseeded per task, e.g. the bootstrap's per-shard replicate
-// streams.
+// register initialization, and its position is exportable with State.
 func NewFast(seed int64) *RNG {
 	x := &xoshiro{}
 	x.Seed(seed)
-	r := &RNG{kind: KindFast, seed: seed}
-	src := &countedSource{inner: x, n: &r.draws}
-	r.src = src
-	r.Rand = rand.New(src)
-	return r
+	return &RNG{Rand: rand.New(x), src: x}
 }
 
-// State returns the RNG's current stream position.
-func (r *RNG) State() State { return State{Kind: r.kind, Seed: r.seed, Draws: r.draws} }
+// errStdState is returned by State and Restore on a New RNG.
+var errStdState = errors.New("randx: a stdlib-backed RNG (New) has no exportable state; use NewFast")
 
-// Restore rewinds (or advances) r to the stream position st: it reseeds
-// with st.Seed and replays st.Draws source steps, after which r's future
-// draws are bit-identical to the RNG st was captured from. The backend
-// must match (a std state cannot restore onto a fast RNG). Cost is
-// O(Draws) — a replay, not a state copy — which keeps both backends
-// restorable through one exact mechanism.
+// State returns the RNG's current position. It errors for a New RNG,
+// whose stdlib source does not export its state.
+func (r *RNG) State() (State, error) {
+	x, ok := r.src.(*xoshiro)
+	if !ok {
+		return State{}, errStdState
+	}
+	return State{S: x.s}, nil
+}
+
+// Restore positions r at st by copying its state words, after which r's
+// future draws are bit-identical to the RNG st was captured from. It
+// refuses the all-zero state, a fixed point of xoshiro that would emit
+// zeros forever, and a New RNG.
 func (r *RNG) Restore(st State) error {
-	if st.Kind != r.kind {
-		return fmt.Errorf("randx: cannot restore %q state onto %q RNG", st.Kind, r.kind)
+	x, ok := r.src.(*xoshiro)
+	if !ok {
+		return errStdState
 	}
-	r.Reseed(st.Seed)
-	cs := r.src.(*countedSource)
-	for r.draws < st.Draws {
-		cs.Uint64()
+	if st.S == [4]uint64{} {
+		return errors.New("randx: refusing the all-zero xoshiro state")
 	}
+	x.s = st.S
 	return nil
-}
-
-// FromState constructs a new RNG positioned at st; see (*RNG).Restore.
-func FromState(st State) (*RNG, error) {
-	var r *RNG
-	switch st.Kind {
-	case KindStd:
-		r = New(st.Seed)
-	case KindFast:
-		r = NewFast(st.Seed)
-	default:
-		return nil, fmt.Errorf("randx: unknown RNG state kind %q", st.Kind)
-	}
-	if err := r.Restore(st); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // xoshiro is a xoshiro256++ generator (Blackman & Vigna 2018) seeded from
@@ -213,11 +163,7 @@ func (r *RNG) Split(id int64) *RNG {
 // without allocating a new generator. Parallel shard workers keep one RNG
 // each and reseed it per task, which keeps hot loops allocation-free.
 // O(1) for NewFast RNGs; New RNGs pay the stdlib's full re-init.
-func (r *RNG) Reseed(seed int64) {
-	r.seed = seed
-	r.draws = 0
-	r.src.Seed(seed)
-}
+func (r *RNG) Reseed(seed int64) { r.src.Seed(seed) }
 
 // Normal draws a sample from N(mu, sigma²).
 func (r *RNG) Normal(mu, sigma float64) float64 {

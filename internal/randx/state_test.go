@@ -23,57 +23,60 @@ func drawMix(r *RNG, n int) []float64 {
 	return out
 }
 
-func TestRNGStateRoundTrip(t *testing.T) {
-	for name, mk := range map[string]func(int64) *RNG{"std": New, "fast": NewFast} {
-		t.Run(name, func(t *testing.T) {
-			ref := mk(12345)
-			drawMix(ref, 50) // advance to an arbitrary mid-stream position
-
-			st := ref.State()
-			if st.Draws == 0 {
-				t.Fatal("expected a non-zero draw count after sampling")
-			}
-
-			// JSON round-trip: the state must survive serialization, since
-			// the engine snapshot envelope carries it over the wire.
-			blob, err := json.Marshal(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var back State
-			if err := json.Unmarshal(blob, &back); err != nil {
-				t.Fatal(err)
-			}
-			if back != st {
-				t.Fatalf("state JSON round-trip %+v != %+v", back, st)
-			}
-
-			restored, err := FromState(back)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := drawMix(ref, 30)
-			got := drawMix(restored, 30)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("draw %d: restored %v != original %v", i, got[i], want[i])
-				}
-			}
-			if restored.State() != ref.State() {
-				t.Fatalf("post-draw states diverge: %+v vs %+v", restored.State(), ref.State())
-			}
-		})
+func mustState(t *testing.T, r *RNG) State {
+	t.Helper()
+	st, err := r.State()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return st
+}
+
+func TestRNGStateRoundTrip(t *testing.T) {
+	t.Run("fast", func(t *testing.T) {
+		ref := NewFast(12345)
+		drawMix(ref, 50) // advance to an arbitrary mid-stream position
+		st := mustState(t, ref)
+
+		// JSON round-trip: the state must survive serialization, since
+		// the engine snapshot envelope carries it over the wire.
+		blob, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back State
+		if err := json.Unmarshal(blob, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != st {
+			t.Fatalf("state JSON round-trip %+v != %+v", back, st)
+		}
+
+		restored := NewFast(0)
+		if err := restored.Restore(back); err != nil {
+			t.Fatal(err)
+		}
+		want := drawMix(ref, 30)
+		got := drawMix(restored, 30)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("draw %d: restored %v != original %v", i, got[i], want[i])
+			}
+		}
+		if mustState(t, restored) != mustState(t, ref) {
+			t.Fatalf("post-draw states diverge: %+v vs %+v", mustState(t, restored), mustState(t, ref))
+		}
+	})
 }
 
 func TestRNGRestoreInPlace(t *testing.T) {
-	ref := New(7)
+	ref := NewFast(7)
 	drawMix(ref, 10)
-	st := ref.State()
+	st := mustState(t, ref)
 	want := drawMix(ref, 10)
 
 	// Restore onto an RNG that is on a completely different stream.
-	other := New(99)
+	other := NewFast(99)
 	drawMix(other, 3)
 	if err := other.Restore(st); err != nil {
 		t.Fatal(err)
@@ -86,12 +89,46 @@ func TestRNGRestoreInPlace(t *testing.T) {
 	}
 }
 
-func TestRNGRestoreKindMismatch(t *testing.T) {
-	if err := New(1).Restore(State{Kind: KindFast, Seed: 1}); err == nil {
-		t.Fatal("expected kind mismatch error")
+// TestRNGRestoreCopiesWords: Restore is a copy of the four state words,
+// not a replay — the next Uint64 is exactly one xoshiro256++ step from
+// the restored words, whatever they are — and the all-zero fixed point
+// is refused without touching the stream.
+func TestRNGRestoreCopiesWords(t *testing.T) {
+	rotl := func(v uint64, k uint) uint64 { return (v << k) | (v >> (64 - k)) }
+	for _, s := range [][4]uint64{
+		{1, 2, 3, 4},
+		{0, 0, 0, 1},
+		{^uint64(0), 0x0123456789abcdef, 0, 1 << 63},
+	} {
+		r := NewFast(5)
+		if err := r.Restore(State{S: s}); err != nil {
+			t.Fatal(err)
+		}
+		want := rotl(s[0]+s[3], 23) + s[0]
+		if got := r.Uint64(); got != want {
+			t.Fatalf("first draw after Restore(%x) = %x, want %x", s, got, want)
+		}
 	}
-	if _, err := FromState(State{Kind: "mystery", Seed: 1}); err == nil {
-		t.Fatal("expected unknown kind error")
+
+	r := NewFast(5)
+	before := mustState(t, r)
+	if err := r.Restore(State{}); err == nil {
+		t.Fatal("expected the all-zero state to be refused")
+	}
+	if mustState(t, r) != before {
+		t.Fatal("a refused Restore moved the stream")
+	}
+}
+
+// TestRNGStdBackendHasNoState: a stdlib-backed RNG cannot export or
+// restore a position — both calls error rather than panic.
+func TestRNGStdBackendHasNoState(t *testing.T) {
+	r := New(1)
+	if _, err := r.State(); err == nil {
+		t.Fatal("expected State to error on a New RNG")
+	}
+	if err := r.Restore(mustState(t, NewFast(1))); err == nil {
+		t.Fatal("expected Restore to error on a New RNG")
 	}
 }
 
@@ -99,11 +136,10 @@ func TestReseedResetsState(t *testing.T) {
 	r := NewFast(3)
 	drawMix(r, 5)
 	r.Reseed(8)
-	st := r.State()
-	if st.Seed != 8 || st.Draws != 0 {
-		t.Fatalf("state after Reseed = %+v, want seed 8 draws 0", st)
-	}
 	fresh := NewFast(8)
+	if mustState(t, r) != mustState(t, fresh) {
+		t.Fatalf("state after Reseed = %+v, want %+v", mustState(t, r), mustState(t, fresh))
+	}
 	a, b := drawMix(r, 5), drawMix(fresh, 5)
 	for i := range a {
 		if a[i] != b[i] {

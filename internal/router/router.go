@@ -378,7 +378,9 @@ func (r *Router) forward(mb *memberBatch, streams []string, trace string) {
 	switch resp.StatusCode {
 	case http.StatusOK:
 		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+		// Grow from bufio's 4 KiB default: a preallocated large buffer
+		// would cost every request, most of whose lines are short.
+		sc.Buffer(nil, 1<<26)
 		k := 0
 		for sc.Scan() {
 			line := strings.TrimSpace(sc.Text())

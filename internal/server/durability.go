@@ -455,7 +455,9 @@ func (s *Server) faultInLocked(ids []string) error {
 }
 
 // spilledEnvelope reads and decodes stream id's spilled envelope;
-// ok=false when the store holds none.
+// ok=false when the store holds none. An envelope that does not carry
+// exactly the one stream its file is named for is refused: restoring it
+// would open some other stream and then delete id's file.
 func (s *Server) spilledEnvelope(id string) (*core.EngineSnapshot, bool, error) {
 	blob, ok, err := s.spill.Get(id)
 	if err != nil || !ok {
@@ -464,6 +466,9 @@ func (s *Server) spilledEnvelope(id string) (*core.EngineSnapshot, bool, error) 
 	var env core.EngineSnapshot
 	if err := json.Unmarshal(blob, &env); err != nil {
 		return nil, false, fmt.Errorf("spilled stream %q: corrupt envelope: %w", id, err)
+	}
+	if n := len(env.Streams); n != 1 || env.Streams[0].ID != id {
+		return nil, false, fmt.Errorf("spilled stream %q: envelope does not carry exactly that one stream (%d streams)", id, n)
 	}
 	return &env, true, nil
 }

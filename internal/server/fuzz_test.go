@@ -3,8 +3,12 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzReadRows drives the push decoder with arbitrary bodies, both as
@@ -74,6 +78,71 @@ func FuzzReadRows(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzSpilledEnvelope writes arbitrary bytes as stream "a"'s spill file
+// and pushes to "a", which faults the file in. It must never panic. The
+// push either applies — "a" is open and its row carries no error — or
+// fails with "a"'s file kept, and no stream other than "a" is ever
+// opened, whatever streams the file's envelope names. Run it
+// continuously with:
+//
+//	go test -run='^$' -fuzz=FuzzSpilledEnvelope ./internal/server
+func FuzzSpilledEnvelope(f *testing.F) {
+	src := testEngine(f)
+	for step := 0; step < 6; step++ {
+		for _, id := range []string{"a", "b"} {
+			if _, err := src.PushBatch([]core.StreamBag{{StreamID: id, Bag: streamBag(id, step)}}); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	both, err := src.SnapshotStreams("a", "b")
+	if err != nil {
+		f.Fatal(err)
+	}
+	src.Shutdown()
+	parts := both.SplitByStream()
+	for _, env := range []*core.EngineSnapshot{&parts[0], &parts[1], both} {
+		blob, err := json.Marshal(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"version":6,"seed":42,"tau":3,"tau_prime":3,"statistic":"kl","replicates":150,"alpha":0.05,"partial":true,"streams":[{"id":"a","detector":{"count":1}}]}`))
+
+	body := pushBody(6, "a")
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		srv, err := New(Config{Engine: testEngine(t), SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if err := srv.spill.Put("a", blob); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/push", strings.NewReader(body)))
+
+		if ids := srv.eng.StreamIDs(); len(ids) > 1 || (len(ids) == 1 && ids[0] != "a") {
+			t.Fatalf("spill file for a opened streams %v", ids)
+		}
+		if rec.Code != http.StatusOK {
+			if !srv.spill.Has("a") {
+				t.Fatalf("failed push (status %d) dropped a's spill file", rec.Code)
+			}
+			return
+		}
+		var row resultRow
+		if err := json.Unmarshal(rec.Body.Bytes(), &row); err != nil {
+			t.Fatalf("push response %q: %v", rec.Body.String(), err)
+		}
+		if _, open := srv.eng.Get("a"); row.Error == "" && !open {
+			t.Fatal("push applied but stream a is not open")
 		}
 	})
 }

@@ -521,7 +521,9 @@ func (s *Server) readRows(body io.Reader) ([]PushRow, error) {
 // failed to parse: the truncation is the real failure.
 func DecodePushRows(body io.Reader, fn func(row PushRow, line []byte) error) error {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	// Grow from bufio's 4 KiB default: a preallocated large buffer
+	// would cost every request, most of whose lines are short.
+	sc.Buffer(nil, 1<<26)
 	lineErr := func(line int, err error) error {
 		if scErr := sc.Err(); scErr != nil {
 			return fmt.Errorf("reading body: %w", scErr)

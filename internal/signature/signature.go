@@ -141,10 +141,12 @@ type BuilderFactory func(seed int64) Builder
 // exporting that position and restoring it onto the factory-fresh
 // builder of the resumed stream. Stateless builders (histogram, grid,
 // online) deliberately do not implement it — they have nothing to
-// checkpoint.
+// checkpoint. Only a builder on a randx.NewFast stream (every factory
+// builder is) has an exportable position; RNGState errors for one built
+// by hand on randx.New.
 type RNGSnapshotter interface {
 	// RNGState returns the builder's current RNG stream position.
-	RNGState() randx.State
+	RNGState() (randx.State, error)
 	// RestoreRNGState positions the builder's RNG at st; after it the
 	// builder's future signatures are bit-identical to the builder the
 	// state was captured from.
@@ -153,15 +155,16 @@ type RNGSnapshotter interface {
 
 // KMeansFactory returns a factory of independently seeded k-means
 // builders: factory(seed) behaves exactly like
-// NewKMeansBuilder(k, cfg, randx.New(seed)).
+// NewKMeansBuilder(k, cfg, randx.NewFast(seed)), so its RNG position is
+// checkpointable.
 func KMeansFactory(k int, cfg cluster.Config) BuilderFactory {
-	return func(seed int64) Builder { return NewKMeansBuilder(k, cfg, randx.New(seed)) }
+	return func(seed int64) Builder { return NewKMeansBuilder(k, cfg, randx.NewFast(seed)) }
 }
 
 // KMedoidsFactory returns a factory of independently seeded k-medoids
-// builders.
+// builders on randx.NewFast(seed).
 func KMedoidsFactory(k int, cfg cluster.Config) BuilderFactory {
-	return func(seed int64) Builder { return NewKMedoidsBuilder(k, cfg, randx.New(seed)) }
+	return func(seed int64) Builder { return NewKMedoidsBuilder(k, cfg, randx.NewFast(seed)) }
 }
 
 // OnlineFactory returns a factory of online quantizer builders. The
@@ -215,14 +218,14 @@ func (kb *KMeansBuilder) Build(b bag.Bag) (Signature, error) {
 	return fromClusterResult(res), nil
 }
 
-// Reseed rewinds the builder's RNG to the stream a fresh builder
-// constructed with randx.New(seed) would produce. BuildSequenceParallel
-// uses this to re-derive a per-bag stream on a worker-owned builder
-// without allocating a new one.
+// Reseed rewinds the builder's RNG to the stream its backend produces
+// for seed — for a factory builder, the stream KMeansFactory(…)(seed)
+// starts on. BuildSequenceParallel uses this to re-derive a per-bag
+// stream on a worker-owned builder without allocating a new one.
 func (kb *KMeansBuilder) Reseed(seed int64) { kb.rng.Reseed(seed) }
 
 // RNGState implements RNGSnapshotter.
-func (kb *KMeansBuilder) RNGState() randx.State { return kb.rng.State() }
+func (kb *KMeansBuilder) RNGState() (randx.State, error) { return kb.rng.State() }
 
 // RestoreRNGState implements RNGSnapshotter.
 func (kb *KMeansBuilder) RestoreRNGState(st randx.State) error { return kb.rng.Restore(st) }
@@ -251,12 +254,12 @@ func (kb *KMedoidsBuilder) Build(b bag.Bag) (Signature, error) {
 	return fromClusterResult(res), nil
 }
 
-// Reseed rewinds the builder's RNG to the stream of randx.New(seed); see
+// Reseed rewinds the builder's RNG to its backend's stream for seed; see
 // (*KMeansBuilder).Reseed.
 func (kb *KMedoidsBuilder) Reseed(seed int64) { kb.rng.Reseed(seed) }
 
 // RNGState implements RNGSnapshotter.
-func (kb *KMedoidsBuilder) RNGState() randx.State { return kb.rng.State() }
+func (kb *KMedoidsBuilder) RNGState() (randx.State, error) { return kb.rng.State() }
 
 // RestoreRNGState implements RNGSnapshotter.
 func (kb *KMedoidsBuilder) RestoreRNGState(st randx.State) error { return kb.rng.Restore(st) }
