@@ -28,9 +28,9 @@
 // service is crash-durable: every acknowledged push row is fsynced to a
 // write-ahead oplog before its 200, and a restarted (even SIGKILL'd)
 // instance replays the directory back to exactly the acknowledged
-// state. -pool-max bounds the resident detector pool, spilling idle
-// streams to disk (-spill-dir, default <oplog>/streams) and faulting
-// them back in on push. On SIGINT/SIGTERM the service drains: in-flight
+// state. -pool-max (which requires -oplog) bounds the resident detector
+// pool, spilling idle streams to <oplog>/streams and faulting them back
+// in on push. On SIGINT/SIGTERM the service drains: in-flight
 // requests finish and, with -oplog, the log collapses into a final
 // checkpoint, so a restart on the same directory resumes every stream
 // (spilled ones included) without replaying a record. Operational output
@@ -95,8 +95,7 @@ func main() {
 		idleTTL     = flag.Duration("idle-ttl", 0, "serve mode: evict streams idle this long (0 disables eviction)")
 		slowPush    = flag.Duration("slow-push", 0, "serve mode: warn-log push batches at or above this duration (0 = default 1s; negative disables)")
 		oplogDir    = flag.String("oplog", "", "serve mode: write-ahead oplog directory — acknowledged pushes survive SIGKILL and replay at startup")
-		poolMax     = flag.Int("pool-max", 0, "serve mode: max resident detector streams; idle overflow spills to disk (requires -oplog or -spill-dir; 0 = unbounded)")
-		spillDir    = flag.String("spill-dir", "", "serve mode: on-disk store for spilled streams (default: <oplog>/streams)")
+		poolMax     = flag.Int("pool-max", 0, "serve mode: max resident detector streams; idle overflow spills to <oplog>/streams (requires -oplog; 0 = unbounded)")
 
 		route    = flag.String("route", "", "run as a cluster router on this address, forwarding to -members")
 		members  = flag.String("members", "", "route mode: comma-separated member base URLs (e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
@@ -139,6 +138,9 @@ func main() {
 	bootCfg := repro.BootstrapConfig{Replicates: *reps, Alpha: *alpha}
 
 	if *serve != "" {
+		if *poolMax > 0 && *oplogDir == "" {
+			fatalf("-pool-max requires -oplog: a bounded pool spills streams to the oplog's store")
+		}
 		eng, err := repro.NewEngine(
 			repro.WithTau(*tau), repro.WithTauPrime(*tauPrime),
 			repro.WithStatistic(statName),
@@ -159,7 +161,6 @@ func main() {
 			slowPush:    *slowPush,
 			oplogDir:    *oplogDir,
 			poolMax:     *poolMax,
-			spillDir:    *spillDir,
 			debugAddr:   *debugAddr,
 			logger:      logger,
 		}
@@ -482,7 +483,6 @@ type serveOptions struct {
 	slowPush    time.Duration
 	oplogDir    string
 	poolMax     int
-	spillDir    string
 	debugAddr   string
 	logger      *slog.Logger
 }
@@ -503,7 +503,6 @@ func runServe(eng *repro.Engine, o serveOptions) error {
 		SlowPush:     o.slowPush,
 		OplogDir:     o.oplogDir,
 		MaxResident:  o.poolMax,
-		SpillDir:     o.spillDir,
 		Logger:       o.logger,
 	})
 	if err != nil {

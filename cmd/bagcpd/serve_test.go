@@ -287,3 +287,19 @@ func TestServeSnapshotRestoreTwoProcess(t *testing.T) {
 		}
 	}
 }
+
+// TestServePoolMaxRequiresOplog: a bounded pool spills to the oplog's
+// store, so -pool-max without -oplog is a usage error (exit 2) that
+// names the missing flag.
+func TestServePoolMaxRequiresOplog(t *testing.T) {
+	cmd := exec.Command(os.Args[0], append(append([]string{}, serveArgs...), "-pool-max", "1")...)
+	cmd.Env = append(os.Environ(), "BAGCPD_SERVE_HELPER=1")
+	out, err := cmd.CombinedOutput()
+	exit, ok := err.(*exec.ExitError)
+	if !ok || exit.ExitCode() != 2 {
+		t.Fatalf("bagcpd -serve -pool-max 1 = %v, want exit status 2 (output %q)", err, out)
+	}
+	if !strings.Contains(string(out), "-oplog") {
+		t.Fatalf("error output %q does not name -oplog", out)
+	}
+}

@@ -80,13 +80,17 @@ type EngineConfig struct {
 type Engine struct {
 	cfg EngineConfig
 
-	// mark is the engine-wide mutation counter behind delta snapshots:
-	// every push (and restore) stamps the touched stream with the next
-	// value, so "streams dirty since mark M" is an O(streams) scan with
-	// no per-push synchronization beyond one atomic add. The counter
-	// orders mutations, it does not count them — batches stamp once per
-	// stream group.
+	// mark orders applied push groups: each stream group of a
+	// PushBatchFn call takes the next value under its stream's lock and
+	// hands it to the apply hook, so oplog records carry marks that
+	// increase in apply order. An envelope's Mark is the value at capture
+	// time, which the oplog's compaction cross-checks against the marks
+	// of the segments it deletes.
 	mark atomic.Uint64
+
+	// statefulBuilder reports whether Factory builds randomized builders
+	// (signature.RNGSnapshotter), whose snapshots must carry RNG state.
+	statefulBuilder bool
 
 	mu       sync.Mutex
 	streams  map[string]*Stream
@@ -96,11 +100,9 @@ type Engine struct {
 	observer obs.StageObserver
 }
 
-// Mark returns the engine's current mutation mark. A caller that takes a
-// full snapshot records the envelope's Mark and later asks
-// SnapshotDelta(mark) for just the streams that changed since. The
-// counter is monotonic for the life of the engine (restores stamp the
-// restored streams, so they are dirty relative to any earlier mark).
+// Mark returns the mark of the last applied push group. It is
+// monotonic for the life of the engine; a caller that logs a record
+// outside PushBatchFn (a close) stamps it with this value.
 func (e *Engine) Mark() uint64 { return e.mark.Load() }
 
 // StatisticName returns the registry name of the per-inspection
@@ -149,7 +151,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{cfg: cfg, streams: make(map[string]*Stream)}, nil
+	_, stateful := cfg.Factory(0).(signature.RNGSnapshotter)
+	return &Engine{cfg: cfg, streams: make(map[string]*Stream), statefulBuilder: stateful}, nil
 }
 
 // StreamConfig returns the exact detector Config the engine uses for
@@ -307,14 +310,9 @@ type Stream struct {
 	eng *Engine
 	id  string
 
-	mu    sync.Mutex
-	det   *Detector
-	dirty uint64 // engine mark of the last mutation; 0 = never touched
+	mu  sync.Mutex
+	det *Detector
 }
-
-// markDirtyLocked stamps the stream with the engine's next mutation
-// mark. Callers hold s.mu.
-func (s *Stream) markDirtyLocked() { s.dirty = s.eng.mark.Add(1) }
 
 // ID returns the stream identifier passed to Open.
 func (s *Stream) ID() string { return s.id }
@@ -327,7 +325,6 @@ func (s *Stream) Push(b bag.Bag) (*Point, error) {
 	if s.det == nil {
 		return nil, fmt.Errorf("core: stream %q is closed", s.id)
 	}
-	s.markDirtyLocked()
 	return s.det.Push(b)
 }
 
@@ -344,9 +341,9 @@ func (s *Stream) Seq() int {
 }
 
 // StreamStats is Stream.Introspect's point-in-time view of one stream:
-// the bag clock, window occupancy, the last inspection's outcome, the
-// per-stage cumulative push costs (populated while the engine is
-// instrumented), and the delta-snapshot dirty mark.
+// the bag clock, window occupancy, the last inspection's outcome, and
+// the per-stage cumulative push costs (populated while the engine is
+// instrumented).
 type StreamStats struct {
 	// ID is the stream identifier.
 	ID string `json:"stream"`
@@ -357,9 +354,6 @@ type StreamStats struct {
 	WindowFill int `json:"window_fill"`
 	// WindowSize is τ+τ′.
 	WindowSize int `json:"window_size"`
-	// DirtyMark is the engine mutation mark of the stream's last
-	// mutation; 0 means untouched since engine start.
-	DirtyMark uint64 `json:"dirty_mark"`
 	// HasLast reports whether Last holds a real inspection Point (false
 	// until the window first fills).
 	HasLast bool `json:"has_last"`
@@ -385,7 +379,6 @@ func (s *Stream) Introspect() (StreamStats, error) {
 		Bags:       s.det.Count(),
 		WindowFill: len(s.det.window),
 		WindowSize: s.det.WindowSize(),
-		DirtyMark:  s.dirty,
 		Stages:     totals[:],
 	}
 	st.Last, st.HasLast = s.det.Last()
@@ -468,7 +461,7 @@ func (e *Engine) PushBatch(batch []StreamBag) ([]StreamResult, error) {
 
 // PushBatchFn is PushBatch with a mutation hook: onApply (when non-nil)
 // is invoked once per SUCCESSFULLY applied bag, with the bag's batch
-// index and the engine mutation mark the applying group stamped, while
+// index and the engine mark its stream group took (see Engine.mark), while
 // the stream's lock is still held; batch[i].Bag.T is then the index the
 // bag was applied at. That lock makes the hook's call
 // order per stream exactly the apply order — across concurrent batches
@@ -535,7 +528,7 @@ func (e *Engine) PushBatchFn(batch []StreamBag, onApply func(i int, mark uint64)
 			}
 			return
 		}
-		g.st.markDirtyLocked()
+		mark := e.mark.Add(1)
 		for _, i := range g.idxs {
 			batch[i].Bag.T = g.st.det.Count()
 			if failed != nil {
@@ -550,7 +543,7 @@ func (e *Engine) PushBatchFn(batch []StreamBag, onApply func(i int, mark uint64)
 				continue
 			}
 			if onApply != nil {
-				onApply(i, g.st.dirty)
+				onApply(i, mark)
 			}
 		}
 	}

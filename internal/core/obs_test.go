@@ -152,9 +152,6 @@ func TestEngineInstrumentStageMetrics(t *testing.T) {
 	if !stats.HasLast || stats.Last.T != 4 {
 		t.Errorf("introspect last = %+v (hasLast=%v), want inspection at T=4", stats.Last, stats.HasLast)
 	}
-	if stats.DirtyMark == 0 {
-		t.Error("introspect dirty mark is 0 after pushes")
-	}
 	for _, sg := range stats.Stages {
 		wantN := uint64(6)
 		if sg.Stage == "bootstrap" {

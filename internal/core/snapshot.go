@@ -167,6 +167,44 @@ func (d *Detector) Snapshot() (*DetectorState, error) {
 // here its Points are bit-identical to the uninterrupted detector's.
 func (d *Detector) RestoreSnapshot(st *DetectorState) error {
 	w := d.WindowSize()
+	snap, stateful := d.cfg.Builder.(signature.RNGSnapshotter)
+	if err := st.validate(w, stateful); err != nil {
+		return err
+	}
+
+	// All validation passed; from here on mutate in place. Start from the
+	// recycled-clean state so leftover buffers are reused, not leaked.
+	d.reset(d.cfg.Builder, d.cfg.Seed)
+	d.count = st.Count
+	for _, sig := range st.Window {
+		d.window = append(d.window, signature.Signature{Centers: sig.Centers, Weights: sig.Weights}.Clone())
+	}
+	for _, row := range st.LogD {
+		r := make([]float64, len(row), w)
+		copy(r, row)
+		d.logD = append(d.logD, r)
+	}
+	for _, h := range st.History {
+		d.history[h.T] = bootstrap.Interval{Lo: h.Lo, Up: h.Up, Point: h.Pt}
+	}
+	if err := d.est.RestoreStreams(st.Bootstrap); err != nil {
+		return err
+	}
+	if stateful {
+		if err := snap.RestoreRNGState(*st.BuilderRNG); err != nil {
+			return fmt.Errorf("core: restore builder RNG: %w", err)
+		}
+	}
+	return nil
+}
+
+// validate checks everything RestoreSnapshot needs of st before it
+// mutates a detector whose window holds w signatures and whose builder
+// is randomized (stateful) or not: the window, matrix and history
+// shapes, each signature, and the presence and non-zero state of every
+// RNG position. Engine.ValidateSnapshot runs it on every stream, so an
+// envelope it accepts restores without error.
+func (st *DetectorState) validate(w int, stateful bool) error {
 	if len(st.Window) > w {
 		return fmt.Errorf("core: snapshot window has %d signatures, detector holds at most %d", len(st.Window), w)
 	}
@@ -192,36 +230,19 @@ func (d *Detector) RestoreSnapshot(st *DetectorState) error {
 			return fmt.Errorf("core: snapshot history times must strictly increase, got t=%d after t=%d", st.History[i].T, st.History[i-1].T)
 		}
 	}
-	snap, stateful := d.cfg.Builder.(signature.RNGSnapshotter)
+	for k, sh := range st.Bootstrap.Shards {
+		if sh == (randx.State{}) {
+			return fmt.Errorf("core: snapshot bootstrap shard %d has the all-zero RNG state", k)
+		}
+	}
 	if stateful && st.BuilderRNG == nil {
 		return fmt.Errorf("core: snapshot lacks builder RNG state but the detector's builder is randomized — snapshot and detector configurations disagree")
 	}
 	if !stateful && st.BuilderRNG != nil {
 		return fmt.Errorf("core: snapshot carries builder RNG state but the detector's builder is stateless — snapshot and detector configurations disagree")
 	}
-
-	// All validation passed; from here on mutate in place. Start from the
-	// recycled-clean state so leftover buffers are reused, not leaked.
-	d.reset(d.cfg.Builder, d.cfg.Seed)
-	d.count = st.Count
-	for _, sig := range st.Window {
-		d.window = append(d.window, signature.Signature{Centers: sig.Centers, Weights: sig.Weights}.Clone())
-	}
-	for _, row := range st.LogD {
-		r := make([]float64, len(row), w)
-		copy(r, row)
-		d.logD = append(d.logD, r)
-	}
-	for _, h := range st.History {
-		d.history[h.T] = bootstrap.Interval{Lo: h.Lo, Up: h.Up, Point: h.Pt}
-	}
-	if err := d.est.RestoreStreams(st.Bootstrap); err != nil {
-		return err
-	}
-	if stateful {
-		if err := snap.RestoreRNGState(*st.BuilderRNG); err != nil {
-			return fmt.Errorf("core: restore builder RNG: %w", err)
-		}
+	if st.BuilderRNG != nil && *st.BuilderRNG == (randx.State{}) {
+		return fmt.Errorf("core: snapshot builder has the all-zero RNG state")
 	}
 	return nil
 }
@@ -253,13 +274,14 @@ type EngineSnapshot struct {
 	Replicates int     `json:"replicates"`
 	Alpha      float64 `json:"alpha"`
 	BuilderTag string  `json:"builder_tag,omitempty"`
-	// Mark is the engine's mutation counter at capture time. Feed it back
-	// to Engine.SnapshotDelta (or GET /v1/snapshot?since=mark) to get
-	// just the streams that changed after this envelope was cut.
+	// Mark is the engine's push mark (Engine.Mark) at capture time:
+	// every push the envelope covers was logged with a mark no larger.
+	// The oplog checks it before compacting segments behind a
+	// checkpoint.
 	Mark uint64 `json:"mark,omitempty"`
 	// Partial marks an envelope that carries a SUBSET of the source
-	// engine's streams (a delta snapshot, a migration extract, or a
-	// SplitByStream slice). Partial envelopes merge into a live engine
+	// engine's streams (a migration extract, or a SplitByStream slice
+	// such as a spill file). Partial envelopes merge into a live engine
 	// via RestoreStreams; Restore refuses them, because treating a
 	// subset as the whole state would silently drop every other stream.
 	Partial bool             `json:"partial,omitempty"`
@@ -306,10 +328,13 @@ func (e *Engine) fingerprint() EngineSnapshot {
 // ValidateSnapshot checks that snap could be restored onto this engine —
 // the schema version is readable, the configuration fingerprint
 // (seed, τ, τ′, statistic name, weighting, raw-mass, log-floor,
-// replicates, α, builder tag) matches, no stream is named twice, and no
-// RNG position is the all-zero xoshiro state — without touching any
-// state. A server front-end calls it BEFORE tearing down live streams,
-// so a rejected envelope leaves the receiving engine exactly as it was.
+// replicates, α, builder tag) matches, every stream id is non-empty and
+// named once, and every stream's detector state passes the checks
+// Detector.RestoreSnapshot makes before it mutates anything — without
+// touching any state. An envelope it accepts restores onto an engine
+// without any of its streams open. A server front-end calls it BEFORE
+// tearing down live streams, so a rejected envelope leaves the
+// receiving engine exactly as it was.
 func (e *Engine) ValidateSnapshot(snap *EngineSnapshot) error {
 	if snap.Version != SnapshotVersion {
 		return fmt.Errorf("core: snapshot version %d, this engine reads version %d", snap.Version, SnapshotVersion)
@@ -325,21 +350,19 @@ func (e *Engine) ValidateSnapshot(snap *EngineSnapshot) error {
 		want.Streams = nil
 		return fmt.Errorf("core: snapshot configuration %+v does not match engine configuration %+v", got, want)
 	}
+	w := e.cfg.Template.Tau + e.cfg.Template.TauPrime
 	seen := make(map[string]bool, len(snap.Streams))
 	for i := range snap.Streams {
 		id := snap.Streams[i].ID
+		if id == "" {
+			return fmt.Errorf("core: snapshot stream %d has an empty id", i)
+		}
 		if seen[id] {
 			return fmt.Errorf("core: snapshot names stream %q twice", id)
 		}
 		seen[id] = true
-		det := &snap.Streams[i].Detector
-		for k, sh := range det.Bootstrap.Shards {
-			if sh == (randx.State{}) {
-				return fmt.Errorf("core: snapshot stream %q: bootstrap shard %d has the all-zero RNG state", id, k)
-			}
-		}
-		if det.BuilderRNG != nil && *det.BuilderRNG == (randx.State{}) {
-			return fmt.Errorf("core: snapshot stream %q: builder has the all-zero RNG state", id)
+		if err := snap.Streams[i].Detector.validate(w, e.statefulBuilder); err != nil {
+			return fmt.Errorf("core: snapshot stream %q: %w", id, err)
 		}
 	}
 	return nil
@@ -379,24 +402,12 @@ func (e *Engine) SnapshotStreams(ids ...string) (*EngineSnapshot, error) {
 		}
 	}
 	e.mu.Unlock()
-	return e.snapshotWhere(func(id string, _ uint64) bool { return want[id] }, true)
-}
-
-// SnapshotDelta serializes only the streams mutated after mark (a value
-// previously returned in an envelope's Mark field or from Engine.Mark).
-// The envelope is Partial — restoring it merges the dirty streams into
-// (or refreshes them on) a receiver that already holds the rest — and
-// its own Mark is the new high-water value for the next delta. The cost
-// scales with the number of dirty streams, not the fleet's total stream
-// count; stream CLOSURES are not recorded (a stream evicted since mark
-// is simply absent), so receivers reconcile stream death out of band.
-func (e *Engine) SnapshotDelta(mark uint64) (*EngineSnapshot, error) {
-	return e.snapshotWhere(func(_ string, dirty uint64) bool { return dirty > mark }, true)
+	return e.snapshotWhere(func(id string) bool { return want[id] }, true)
 }
 
 // snapshotWhere captures the streams keep admits (nil keeps all) into an
 // envelope. The engine must be quiesced by the caller, as with Snapshot.
-func (e *Engine) snapshotWhere(keep func(id string, dirty uint64) bool, partial bool) (*EngineSnapshot, error) {
+func (e *Engine) snapshotWhere(keep func(id string) bool, partial bool) (*EngineSnapshot, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -416,7 +427,7 @@ func (e *Engine) snapshotWhere(keep func(id string, dirty uint64) bool, partial 
 		det := st.det
 		var ds *DetectorState
 		var err error
-		if det != nil && (keep == nil || keep(id, st.dirty)) {
+		if det != nil && (keep == nil || keep(id)) {
 			ds, err = det.Snapshot()
 		}
 		st.mu.Unlock()
@@ -433,55 +444,42 @@ func (e *Engine) snapshotWhere(keep func(id string, dirty uint64) bool, partial 
 // Restore reconstructs the snapshotted streams on this engine: each
 // stream is opened (recycling pooled detectors as usual) and its
 // detector rewound to the snapshot state, after which every stream is
-// bit-identical going forward to one that never stopped. The engine must
-// have no open streams (CloseAll first — restore replaces state, it does
-// not merge), and its configuration must match the snapshot fingerprint
+// bit-identical going forward to one that never stopped. The envelope
+// must be complete (not Partial) and the engine must have no open
+// streams — restore replaces state, it does not merge; RestoreStreams
+// merges. Its configuration must match the snapshot fingerprint
 // (ValidateSnapshot); the builder factory and ground distance are code
 // and cannot be fingerprinted directly, so deployments that build them
 // from configuration should describe that configuration in
 // EngineConfig.BuilderTag — engines with differing tags refuse each
-// other's snapshots instead of silently diverging. On error the engine
-// may hold a partially restored stream set; CloseAll before retrying.
+// other's snapshots instead of silently diverging. A failed Restore
+// leaves the engine with no open streams.
 //
 // Cost: each stream's restore copies its window, matrix and history and
 // the state words of its RNG streams, so it is proportional to the
 // envelope's size and independent of how many bags the stream has seen.
 func (e *Engine) Restore(snap *EngineSnapshot) error {
-	if err := e.ValidateSnapshot(snap); err != nil {
-		return err
-	}
 	if snap.Partial {
-		return fmt.Errorf("core: envelope is partial (a delta or extracted slice); Restore replaces ALL state — use RestoreStreams to merge it")
+		return fmt.Errorf("core: envelope is partial (an extracted or split slice); Restore replaces ALL state — use RestoreStreams to merge it")
 	}
 	if n := e.Len(); n != 0 {
-		return fmt.Errorf("core: restore requires an engine with no open streams, have %d (CloseAll first)", n)
+		return fmt.Errorf("core: restore requires an engine with no open streams, have %d", n)
 	}
-	streams := make([]*Stream, len(snap.Streams))
-	for i := range snap.Streams {
-		st, err := e.Open(snap.Streams[i].ID)
-		if err != nil {
-			return fmt.Errorf("core: restore stream %q: %w", snap.Streams[i].ID, err)
-		}
-		streams[i] = st
-	}
-	return rewindStreams(streams, snap.Streams)
+	return e.RestoreStreams(snap)
 }
 
 // RestoreStreams merges the envelope's streams into this engine — the
-// receiving half of a live migration, and the apply half of a delta
-// snapshot. The fingerprint must match exactly as for Restore, but the
-// engine keeps its other open streams; each restored stream must NOT
+// receiving half of a live migration, and the path Restore and a spill
+// fault-in take. The fingerprint must match exactly as for Restore, but
+// the engine keeps its other open streams; each restored stream must NOT
 // already be open here (a migration that raced a duplicate delivery
 // fails loudly instead of silently rewinding a live stream). On any
 // error the streams this call opened are closed again, so a refused
 // merge leaves the engine exactly as it was. Quiescence contract is
-// Restore's: no pushes in flight.
+// Snapshot's: no pushes in flight.
 func (e *Engine) RestoreStreams(snap *EngineSnapshot) error {
 	if err := e.ValidateSnapshot(snap); err != nil {
 		return err
-	}
-	if len(snap.Streams) == 0 {
-		return nil
 	}
 	for i := range snap.Streams {
 		id := snap.Streams[i].ID
@@ -489,39 +487,24 @@ func (e *Engine) RestoreStreams(snap *EngineSnapshot) error {
 			return fmt.Errorf("core: RestoreStreams: stream %q is already open on this engine", id)
 		}
 	}
-	streams := make([]*Stream, len(snap.Streams))
-	rollback := func(n int) {
-		for i := 0; i < n; i++ {
-			streams[i].Close()
+	streams := make([]*Stream, 0, len(snap.Streams))
+	rollback := func() {
+		for _, st := range streams {
+			st.Close()
 		}
 	}
 	for i := range snap.Streams {
-		st, err := e.Open(snap.Streams[i].ID)
-		if err != nil {
-			rollback(i)
-			return fmt.Errorf("core: restore stream %q: %w", snap.Streams[i].ID, err)
+		id := snap.Streams[i].ID
+		st, err := e.Open(id)
+		if err == nil {
+			streams = append(streams, st)
+			st.mu.Lock()
+			err = st.det.RestoreSnapshot(&snap.Streams[i].Detector)
+			st.mu.Unlock()
 		}
-		streams[i] = st
-	}
-	if err := rewindStreams(streams, snap.Streams); err != nil {
-		rollback(len(streams))
-		return err
-	}
-	return nil
-}
-
-// rewindStreams rewinds each stream's detector to its snapshot state,
-// stopping at the first error. Restored streams are stamped dirty:
-// relative to any mark taken before the restore, their state IS new on
-// this engine.
-func rewindStreams(streams []*Stream, snaps []StreamSnapshot) error {
-	for i, st := range streams {
-		st.mu.Lock()
-		st.markDirtyLocked()
-		err := st.det.RestoreSnapshot(&snaps[i].Detector)
-		st.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("core: restore stream %q: %w", snaps[i].ID, err)
+			rollback()
+			return fmt.Errorf("core: restore stream %q: %w", id, err)
 		}
 	}
 	return nil

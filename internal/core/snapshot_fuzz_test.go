@@ -12,13 +12,16 @@ import (
 )
 
 // canonicalEnvelope is the JSON an envelope must round-trip to: the
-// engine-local Mark cleared, streams in id order (Snapshot's order),
+// engine-local Mark and the Partial flag cleared (a fresh engine that
+// merged a partial envelope holds exactly its streams), streams in id
+// order (Snapshot's order),
 // and nil slices marshalled as empty ones (JSON null and [] decode to
 // the same empty state).
 func canonicalEnvelope(t *testing.T, env *EngineSnapshot) []byte {
 	t.Helper()
 	c := *env
 	c.Mark = 0
+	c.Partial = false
 	c.Streams = append([]StreamSnapshot(nil), env.Streams...)
 	sort.SliceStable(c.Streams, func(i, j int) bool { return c.Streams[i].ID < c.Streams[j].ID })
 	v := reflect.ValueOf(&c).Elem()
@@ -65,8 +68,11 @@ func emptyNilSlices(v reflect.Value) {
 
 // FuzzRestoreSnapshot feeds arbitrary bytes through the path a server's
 // POST /v1/restore takes: json.Unmarshal → ValidateSnapshot →
-// Engine.Restore. No input may panic, and any envelope the engine
-// accepts must round-trip: a Snapshot taken straight after the Restore
+// Engine.Restore. No input may panic; any envelope ValidateSnapshot
+// accepts must restore onto a fresh engine (Restore for a complete
+// envelope, RestoreStreams for a partial one), because a server
+// validates before it tears its live streams down; and the restored
+// engine must round-trip: a Snapshot taken straight after the restore
 // marshals to the same canonical JSON as the accepted envelope. The
 // engine runs a randomized (k-means) builder, so builder RNG state is in
 // play. Run it continuously with:
@@ -107,6 +113,11 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(oneBlob)
+	partBlob, err := json.Marshal(&snap.SplitByStream()[1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(partBlob)
 	f.Add(bytes.Replace(full, []byte(`"version":6`), []byte(`"version":5`), 1))
 	f.Add([]byte(`{"version":6,"seed":42,"tau":3,"tau_prime":3,"statistic":"kl","streams":[]}`))
 	f.Add([]byte(`{}`))
@@ -121,8 +132,12 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if err := eng.ValidateSnapshot(&env); err != nil {
 			return
 		}
-		if err := eng.Restore(&env); err != nil {
-			return
+		restore := eng.Restore
+		if env.Partial {
+			restore = eng.RestoreStreams
+		}
+		if err := restore(&env); err != nil {
+			t.Fatalf("ValidateSnapshot accepted an envelope its restore refuses: %v", err)
 		}
 		got, err := eng.Snapshot()
 		if err != nil {

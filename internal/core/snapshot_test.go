@@ -367,6 +367,34 @@ func TestEngineRestoreValidation(t *testing.T) {
 			t.Fatal("expected matrix shape error")
 		}
 	})
+	t.Run("malformed-log-d", func(t *testing.T) {
+		// A fingerprint-clean envelope whose stream state RestoreSnapshot
+		// would refuse must already be refused by ValidateSnapshot: a
+		// server validates before it tears its live streams down.
+		bad := *snap
+		bad.Streams = append([]StreamSnapshot(nil), snap.Streams...)
+		det := bad.Streams[0].Detector
+		det.LogD = append([][]float64(nil), det.LogD...)
+		last := len(det.LogD) - 1
+		det.LogD[last] = det.LogD[last][:len(det.LogD[last])-1]
+		bad.Streams[0].Detector = det
+		target := newTestEngine(t, factory, 1)
+		if err := target.ValidateSnapshot(&bad); err == nil || !strings.Contains(err.Error(), "log-distance row") {
+			t.Fatalf("expected ValidateSnapshot to refuse a short log-distance row, got %v", err)
+		}
+		if err := target.Restore(&bad); err == nil {
+			t.Fatal("Restore accepted a short log-distance row")
+		}
+		if n := target.Len(); n != 0 {
+			t.Fatalf("refused restore left %d streams open", n)
+		}
+		// The builder-RNG presence check runs against the engine's
+		// factory: a stateless envelope is refused by a k-means engine.
+		km := newTestEngine(t, signature.KMeansFactory(3, cluster.Config{MaxIters: 10}), 1)
+		if err := km.ValidateSnapshot(snap); err == nil || !strings.Contains(err.Error(), "lacks builder RNG state") {
+			t.Fatalf("expected ValidateSnapshot to refuse a missing builder RNG, got %v", err)
+		}
+	})
 	// Both refusals below were found by FuzzRestoreSnapshot: each input
 	// restored "successfully" but a Snapshot of the result differed from
 	// the envelope (one stream instead of two, one interval instead of

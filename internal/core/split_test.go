@@ -244,106 +244,3 @@ func TestSnapshotSplitExtractErrors(t *testing.T) {
 		}
 	})
 }
-
-// TestSnapshotDeltaDirtyStreamsOnly is the delta-snapshot acceptance
-// property: after M streams are touched past a mark, the delta envelope
-// carries exactly those M stream states regardless of how many streams
-// the engine holds, and applying it to a warm standby converges the
-// standby bit-identically.
-func TestSnapshotDeltaDirtyStreamsOnly(t *testing.T) {
-	factory := signature.HistogramFactory(-6, 9, 24)
-	const total, dirty = 40, 3
-	eng := newTestEngine(t, factory, 4)
-	allIDs := make([]string, total)
-	for i := range allIDs {
-		allIDs[i] = fmt.Sprintf("s-%02d", i)
-	}
-	push := func(e *Engine, step int, ids ...string) {
-		var batch []StreamBag
-		for _, id := range ids {
-			batch = append(batch, StreamBag{StreamID: id, Bag: streamBags(id, step+1)[step]})
-		}
-		if _, err := e.PushBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for step := 0; step < 7; step++ {
-		push(eng, step, allIDs...)
-	}
-
-	// Full snapshot seeds the standby and records the high-water mark.
-	full, err := eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Partial {
-		t.Fatal("full snapshot must not be partial")
-	}
-	standby := newTestEngine(t, factory, 4)
-	if err := standby.Restore(full); err != nil {
-		t.Fatal(err)
-	}
-
-	// Touch only M streams, then cut a delta since the full mark.
-	touched := allIDs[:dirty]
-	push(eng, 7, touched...)
-	delta, err := eng.SnapshotDelta(full.Mark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !delta.Partial {
-		t.Fatal("delta snapshot must be partial")
-	}
-	if len(delta.Streams) != dirty {
-		t.Fatalf("delta has %d streams, want exactly the %d dirty ones (O(M) independent of %d total)",
-			len(delta.Streams), dirty, total)
-	}
-	for i, id := range touched {
-		if delta.Streams[i].ID != id {
-			t.Fatalf("delta stream %d = %q, want %q", i, delta.Streams[i].ID, id)
-		}
-	}
-
-	// An immediately following delta from the new mark is empty.
-	empty, err := eng.SnapshotDelta(delta.Mark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Streams) != 0 {
-		t.Fatalf("delta after quiesce has %d streams, want 0", len(empty.Streams))
-	}
-
-	// Apply the delta to the standby (close-then-merge per dirty stream)
-	// and verify both engines score the next step identically.
-	for _, ss := range delta.Streams {
-		if st, ok := standby.Get(ss.ID); ok {
-			st.Close()
-		}
-	}
-	if err := standby.RestoreStreams(delta); err != nil {
-		t.Fatal(err)
-	}
-	for step := 8; step < 10; step++ {
-		var batch []StreamBag
-		for _, id := range touched {
-			batch = append(batch, StreamBag{StreamID: id, Bag: streamBags(id, step+1)[step]})
-		}
-		want, err := eng.PushBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := standby.PushBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			wp, gp := want[i].Point, got[i].Point
-			if (wp == nil) != (gp == nil) {
-				t.Fatalf("step %d row %d: nil mismatch", step, i)
-			}
-			if wp != nil && !pointsEqual(*wp, *gp) {
-				t.Fatalf("step %d row %d: standby %+v != primary %+v", step, i, *gp, *wp)
-			}
-		}
-	}
-}

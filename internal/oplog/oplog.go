@@ -57,9 +57,9 @@ const (
 	// OpClose records an explicit stream close (lifecycle endpoint or
 	// migration extract): on replay the stream's state is dropped exactly
 	// as it was live, so a later life of the id starts from tick 0 again.
-	// Evictions write no record: a server with an oplog always has a
-	// spill store, so an evicted stream spills, and the spilled envelope,
-	// not the log, carries its state onward.
+	// Evictions write no record: the log carries a spill store
+	// (Log.Streams), so an evicted stream spills, and the spilled
+	// envelope, not the log, carries its state onward.
 	OpClose = "close"
 )
 
@@ -101,9 +101,9 @@ const (
 	segPrefix      = "oplog-"
 	segSuffix      = ".ndjson"
 	checkpointName = "checkpoint.json"
-	// StreamDirName is the spill store subdirectory a server conventionally
-	// places under its oplog directory.
-	StreamDirName = "streams"
+	// streamDirName is the spill store subdirectory Open places under
+	// the oplog directory.
+	streamDirName = "streams"
 	// DefaultSegmentBytes rotates segments at 8 MiB: large enough that
 	// rotation is rare, small enough that compaction reclaims space in
 	// useful increments.
@@ -144,8 +144,9 @@ type Stats struct {
 
 // Log is an open oplog directory. Safe for concurrent use.
 type Log struct {
-	dir  string
-	opts Options
+	dir     string
+	opts    Options
+	streams *StreamStore
 
 	// qmu guards the enqueue side of the group commit: records land in
 	// queue as marshaled lines and enqSeq labels the newest one.
@@ -168,9 +169,9 @@ type Log struct {
 	stats      Stats
 }
 
-// Open opens (creating if needed) the oplog directory, truncates the
-// final segment's torn tail, and indexes every segment for replay and
-// compaction.
+// Open opens (creating if needed) the oplog directory and its spill
+// store, truncates the final segment's torn tail, and indexes every
+// segment for replay and compaction.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -178,7 +179,11 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("oplog: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts}
+	streams, err := openStreamStore(filepath.Join(dir, streamDirName))
+	if err != nil {
+		return nil, err
+	}
+	l := &Log{dir: dir, opts: opts, streams: streams}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -209,6 +214,9 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	return l, nil
 }
+
+// Streams returns the directory's spill store.
+func (l *Log) Streams() *StreamStore { return l.streams }
 
 func (l *Log) segPath(index uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%s%08d%s", segPrefix, index, segSuffix))

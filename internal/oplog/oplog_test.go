@@ -306,7 +306,7 @@ func TestCloseRefusesWrites(t *testing.T) {
 // reopen, cleans tmp remnants, and enforces its id bounds.
 func TestStreamStore(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStreamStore(dir)
+	s, err := openStreamStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestStreamStore(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "leftover.tmp"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStreamStore(dir)
+	s2, err := openStreamStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,9 @@ var spillEncoding = base32.StdEncoding.WithPadding(base32.NoPadding)
 // cannot spill (the server keeps them resident and says why).
 const maxSpillID = 150
 
-// OpenStreamStore opens (creating if needed) a spill directory and
+// openStreamStore opens (creating if needed) a spill directory and
 // indexes the streams already spilled there.
-func OpenStreamStore(dir string) (*StreamStore, error) {
+func openStreamStore(dir string) (*StreamStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("oplog: stream store: %w", err)
 	}

@@ -383,11 +383,12 @@ func (r *Router) forward(mb *memberBatch, streams []string, trace string) {
 		sc.Buffer(nil, 1<<26)
 		k := 0
 		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
+			line := bytes.TrimSpace(sc.Bytes())
+			if len(line) == 0 {
 				continue
 			}
 			if k < len(mb.rows) {
+				// The one copy: sc.Bytes is reused by the next Scan.
 				mb.lines[k] = append([]byte(nil), line...)
 			}
 			k++

@@ -34,7 +34,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -43,31 +42,18 @@ import (
 	"repro/internal/oplog"
 )
 
-// initDurability opens the spill store and the oplog (as configured)
-// and runs crash recovery. Called from New before the server accepts
-// traffic.
+// initDurability opens the oplog and its spill store (when OplogDir is
+// set) and runs crash recovery. Called from New before the server
+// accepts traffic.
 func (s *Server) initDurability() error {
 	cfg := &s.cfg
 	if cfg.MaxResident < 0 {
 		return fmt.Errorf("server: MaxResident must be >= 0, got %d", cfg.MaxResident)
 	}
-	if cfg.SpillDir == "" && cfg.OplogDir != "" {
-		// An oplog without a spill store would make eviction DESTROY
-		// durable state; default the store next to the log.
-		cfg.SpillDir = filepath.Join(cfg.OplogDir, oplog.StreamDirName)
-	}
-	if cfg.MaxResident > 0 && cfg.SpillDir == "" {
-		return fmt.Errorf("server: MaxResident requires SpillDir (or OplogDir) — a bounded pool needs somewhere to page streams out to")
-	}
-	if cfg.SpillDir != "" {
-		store, err := oplog.OpenStreamStore(cfg.SpillDir)
-		if err != nil {
-			return fmt.Errorf("server: %w", err)
-		}
-		s.spill = store
-		s.met.enablePool(store, &s.poolPeak)
-	}
 	if cfg.OplogDir == "" {
+		if cfg.MaxResident > 0 {
+			return fmt.Errorf("server: MaxResident requires OplogDir — a bounded pool pages streams out to the oplog's spill store")
+		}
 		return nil
 	}
 	hist := s.met.oplogFsyncHistogram()
@@ -76,6 +62,8 @@ func (s *Server) initDurability() error {
 		return fmt.Errorf("server: %w", err)
 	}
 	s.wal = l
+	s.spill = l.Streams()
+	s.met.enablePool(s.spill, &s.poolPeak)
 	s.met.enableOplog(l)
 	if err := s.recover(); err != nil {
 		return fmt.Errorf("server: oplog recovery: %w", err)
@@ -137,8 +125,8 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// applyReplay applies one oplog record during recovery. An oplog always
-// has a spill store (OplogDir defaults SpillDir), so s.spill is set.
+// applyReplay applies one oplog record during recovery. The oplog
+// carries the spill store, so s.spill is set.
 func (s *Server) applyReplay(rec oplog.Record) error {
 	switch rec.Op {
 	case oplog.OpClose:
@@ -210,8 +198,7 @@ func (s *Server) checkpointLocked(reason string) error {
 // correct exactly when the envelope is known to cover the ENTIRE log
 // regardless of record marks — after recovery (every durable record was
 // just replayed into this state) and after restore (the envelope
-// REPLACES all state, and rewinds the mark counter, so old records'
-// marks no longer compare against it).
+// REPLACES all state, so the old records describe nothing it holds).
 func (s *Server) checkpointAsLocked(reason string, coversAll bool) error {
 	if s.wal == nil {
 		return nil
@@ -476,11 +463,9 @@ func (s *Server) spilledEnvelope(id string) (*core.EngineSnapshot, bool, error) 
 // addSpilledLocked completes an engine snapshot with the spilled
 // streams — still open, only paged out — read straight from the store
 // without faulting them in, so the pool bound holds while the snapshot
-// is taken. The envelope keeps stream-id order. For a delta (snap is
-// Partial) a spilled stream joins when its envelope's mark is past
-// since: the envelope was cut after the stream's last change, so this
-// never misses a dirty stream. Callers hold the exclusive phase lock.
-func (s *Server) addSpilledLocked(snap *core.EngineSnapshot, since uint64) error {
+// is taken. The envelope keeps stream-id order. Callers hold the
+// exclusive phase lock.
+func (s *Server) addSpilledLocked(snap *core.EngineSnapshot) error {
 	if s.spill == nil || s.spill.Len() == 0 {
 		return nil
 	}
@@ -492,7 +477,7 @@ func (s *Server) addSpilledLocked(snap *core.EngineSnapshot, since uint64) error
 		if err != nil {
 			return err
 		}
-		if ok && (!snap.Partial || env.Mark > since) {
+		if ok {
 			snap.Streams = append(snap.Streams, env.Streams...)
 		}
 	}

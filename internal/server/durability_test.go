@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -286,7 +287,7 @@ func TestSpillPoolBitIdentity(t *testing.T) {
 
 			srv, ts := newTestServer(t, func(c *Config) {
 				c.Engine = factoryEngine(t, factory)
-				c.SpillDir = t.TempDir()
+				c.OplogDir = t.TempDir()
 				c.MaxResident = bound
 			})
 			for step := 0; step < steps; step++ {
@@ -324,7 +325,7 @@ func TestEvictSpillContinuation(t *testing.T) {
 	}
 
 	srv, ts := newTestServer(t, func(c *Config) {
-		c.SpillDir = t.TempDir()
+		c.OplogDir = t.TempDir()
 		c.Now = clock.Now
 	})
 	for step := 0; step < cut; step++ {
@@ -398,7 +399,7 @@ func TestEvictSweepRace(t *testing.T) {
 func TestCloseSpilledStream(t *testing.T) {
 	clock := &testClock{t: time.Unix(1000, 0)}
 	srv, ts := newTestServer(t, func(c *Config) {
-		c.SpillDir = t.TempDir()
+		c.OplogDir = t.TempDir()
 		c.Now = clock.Now
 	})
 	doPush(t, ts, pushBody(0, "s-0"))
@@ -429,8 +430,7 @@ func TestCloseSpilledStream(t *testing.T) {
 // faulting them in past the pool bound — and restoring that envelope
 // must continue every stream, spilled ones included, bit-identically
 // (the restore empties the spill store, so a snapshot without them would
-// lose them). A delta takes a spilled stream once its envelope's mark
-// is past the delta's since mark.
+// lose them).
 func TestSnapshotCarriesSpilledStreams(t *testing.T) {
 	ids := []string{"v-0", "v-1", "v-2", "v-3"}
 	const steps, cut, bound = 12, 7, 2
@@ -444,7 +444,7 @@ func TestSnapshotCarriesSpilledStreams(t *testing.T) {
 	}
 
 	srv, ts := newTestServer(t, func(c *Config) {
-		c.SpillDir = t.TempDir()
+		c.OplogDir = t.TempDir()
 		c.MaxResident = bound
 	})
 	// One stream per request, so the pool pages on every push.
@@ -457,43 +457,31 @@ func TestSnapshotCarriesSpilledStreams(t *testing.T) {
 		t.Fatalf("%d streams spilled, want %d", n, len(ids)-bound)
 	}
 
-	getSnapshot := func(query string) core.EngineSnapshot {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/snapshot" + query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var snap core.EngineSnapshot
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		return snap
+	resp, err := http.Get(ts.URL + "/v1/snapshot")
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := getSnapshot("")
-	var got []string
+	var full core.EngineSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&full)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, st := range full.Streams {
-		got = append(got, st.ID)
 		if st.Detector.Count != cut {
 			t.Fatalf("stream %s snapshotted at count %d, want %d", st.ID, st.Detector.Count, cut)
 		}
 	}
-	if strings.Join(got, ",") != strings.Join(ids, ",") {
+	if got := streamIDs(full); strings.Join(got, ",") != strings.Join(ids, ",") {
 		t.Fatalf("full snapshot streams %v, want %v in id order", got, ids)
 	}
 	if n := srv.eng.Len(); n > bound {
 		t.Fatalf("snapshot faulted streams in: %d resident, bound %d", n, bound)
 	}
-	if d := getSnapshot(fmt.Sprintf("?since=%d", 0)); len(d.Streams) != len(ids) {
-		t.Fatalf("delta since 0 carries %d streams, want %d", len(d.Streams), len(ids))
-	}
-	if d := getSnapshot(fmt.Sprintf("?since=%d", full.Mark)); len(d.Streams) != 0 {
-		t.Fatalf("delta since the full mark carries %v, want none", streamIDs(d))
-	}
 
 	// Restore the envelope onto the same server, then finish the run.
 	blob, _ := json.Marshal(&full)
-	resp, err := http.Post(ts.URL+"/v1/restore", "application/json", strings.NewReader(string(blob)))
+	resp, err = http.Post(ts.URL+"/v1/restore", "application/json", strings.NewReader(string(blob)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,5 +568,87 @@ func TestPushResponseWriteErrors(t *testing.T) {
 		t.Fatal("dropped response rows were not counted")
 	} else if n > uint64(len(ids)) {
 		t.Fatalf("counted %d drops for %d rows", n, len(ids))
+	}
+}
+
+// TestRestoreRefusedKeepsLiveStreams: an envelope whose fingerprint
+// matches but which is partial, or whose second stream carries a
+// malformed detector state (a truncated log-distance matrix), must be
+// refused BEFORE the live streams are torn down. The refusal leaves /v1/streams as it was, the
+// next push continues every stream's bag clock bit-identically to a
+// server that never saw the request, and so does a crash-recovered
+// server on the same oplog directory.
+func TestRestoreRefusedKeepsLiveStreams(t *testing.T) {
+	ids := []string{"a", "b"}
+	const cut, steps = 10, 13
+	clock := &testClock{t: time.Unix(1000, 0)}
+
+	_, refTS := newTestServer(t, nil)
+	var want [][]resultRow
+	for step := 0; step < steps; step++ {
+		want = append(want, doPush(t, refTS, pushBody(step, ids...)))
+	}
+
+	dir := t.TempDir()
+	srvA, tsA := newTestServer(t, func(c *Config) {
+		c.OplogDir = dir
+		c.Now = clock.Now
+	})
+	for step := 0; step < cut; step++ {
+		doPush(t, tsA, pushBody(step, ids...))
+	}
+	before := listStreams(t, tsA)
+
+	resp, err := http.Get(tsA.URL + "/v1/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env core.EngineSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(env.Streams) != 2 {
+		t.Fatalf("snapshot carries %d streams, want 2", len(env.Streams))
+	}
+	partial := env
+	partial.Partial = true
+	malformed := env
+	malformed.Streams = append([]core.StreamSnapshot(nil), env.Streams...)
+	logD := env.Streams[1].Detector.LogD
+	malformed.Streams[1].Detector.LogD = logD[:len(logD)-1]
+	for name, bad := range map[string]*core.EngineSnapshot{"partial": &partial, "truncated log_d": &malformed} {
+		blob, _ := json.Marshal(bad)
+		resp, err = http.Post(tsA.URL+"/v1/restore", "application/json", strings.NewReader(string(blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("restore of a %s envelope: status %d (%s), want 409", name, resp.StatusCode, msg)
+		}
+		if after := listStreams(t, tsA); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("/v1/streams after the refused %s restore = %+v, want %+v", name, after, before)
+		}
+	}
+	rows := doPush(t, tsA, pushBody(cut, ids...))
+	for i := range rows {
+		scoredEqual(t, fmt.Sprintf("post-refusal row %d", i), rows[i], want[cut][i])
+	}
+
+	// "Crash" without a drain checkpoint; the recovered server must hold
+	// the same acknowledged history.
+	tsA.Close()
+	if err := srvA.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, tsB := newTestServer(t, func(c *Config) { c.OplogDir = dir })
+	for step := cut + 1; step < steps; step++ {
+		rows := doPush(t, tsB, pushBody(step, ids...))
+		for i := range rows {
+			scoredEqual(t, fmt.Sprintf("recovered step %d row %d", step, i), rows[i], want[step][i])
+		}
 	}
 }

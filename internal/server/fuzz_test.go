@@ -117,7 +117,7 @@ func FuzzSpilledEnvelope(f *testing.F) {
 
 	body := pushBody(6, "a")
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		srv, err := New(Config{Engine: testEngine(t), SpillDir: t.TempDir()})
+		srv, err := New(Config{Engine: testEngine(t), OplogDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}

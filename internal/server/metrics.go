@@ -33,7 +33,7 @@ type metrics struct {
 	rowErrors       *obs.Counter // per-row push errors
 	rejected        *obs.Counter // batches refused with 429
 	evictions       *obs.Counter // idle streams evicted (spilled or discarded)
-	snapshots       *obs.Counter // snapshots served (full and delta)
+	snapshots       *obs.Counter // snapshots served
 	restores        *obs.Counter // restores applied
 	extractions     *obs.Counter // streams extracted for migration
 	adoptions       *obs.Counter // streams adopted from migration envelopes
@@ -158,7 +158,7 @@ func newMetrics(eng *core.Engine) *metrics {
 	m.respWriteErrors = reg.Counter("bagcpd_push_response_write_errors_total", "Push response rows dropped because the client connection failed mid-response.")
 
 	m.batchLat = reg.Summary("bagcpd_push_batch_seconds",
-		fmt.Sprintf("Push batch latency (window of last %d batches).", latencyWindow),
+		fmt.Sprintf("Push batch latency, request entry to flushed response (window of last %d batches).", latencyWindow),
 		latencyWindow, []float64{0.5, 0.9, 0.99})
 
 	// Stage-level pipeline instrumentation: per-stage push histograms and

@@ -24,13 +24,12 @@
 //	GET  /v1/snapshot            the full engine state as a versioned JSON
 //	                             envelope (core.EngineSnapshot), spilled
 //	                             streams included. Pushes are
-//	                             paused while the snapshot is taken. With
-//	                             ?since=M, a delta: only streams mutated after
-//	                             mark M (see the envelope's "mark" field).
+//	                             paused while the snapshot is taken.
 //	POST /v1/restore             replace all engine state with an envelope
 //	                             previously served by /v1/snapshot — restored
 //	                             streams are bit-identical going forward to
-//	                             ones that never stopped.
+//	                             ones that never stopped. A refused envelope
+//	                             (409) leaves the live streams untouched.
 //	GET  /metrics                Prometheus text exposition.
 //	GET  /healthz                liveness probe.
 //
@@ -43,16 +42,21 @@
 // Snapshot and restore take an exclusive lock: they wait for running
 // batches to finish and hold new ones until the state transfer is done.
 //
+// Serving state is captured one way at each scale: a full envelope
+// (/v1/snapshot, a checkpoint) is a cut, extract/adopt is a migration,
+// and the oplog is the only incremental record.
+//
 // Durability (optional, Config.OplogDir): every applied push row is
 // appended to a write-ahead oplog and group-commit fsynced BEFORE the
 // batch's 200 is written, so a SIGKILL'd instance replays back to
 // exactly the acknowledged prefix of every stream. Checkpoints collapse
 // the log into a full engine envelope (automatic once checkpointBytes
-// of log accumulate, and on graceful drain). With
-// Config.MaxResident the detector pool is bounded: idle streams spill
-// their envelopes to an on-disk stream store instead of being
-// discarded, and a push to a spilled stream faults it back in
-// transparently — bit-identical to a stream that never left memory.
+// of log accumulate, and on graceful drain). The oplog carries a spill
+// store: idle streams evicted by IdleTTL spill their envelopes there
+// instead of being discarded, and with Config.MaxResident the detector
+// pool is bounded the same way. A push to a spilled stream faults it
+// back in transparently — bit-identical to a stream that never left
+// memory. Without an oplog, eviction discards and the pool is unbounded.
 package server
 
 import (
@@ -103,8 +107,8 @@ type Config struct {
 	// refused with 413. 0 selects DefaultMaxBatchBytes.
 	MaxBatchBytes int64
 	// IdleTTL evicts streams that have not been pushed to for this long.
-	// With a spill store the evicted stream pages out to disk and its next
-	// push resumes it; without one its state is DISCARDED (a later push
+	// With an oplog the evicted stream spills to disk and its next push
+	// resumes it; without one its state is DISCARDED (a later push
 	// restarts the stream from scratch). The janitor sweeps every
 	// IdleTTL/4, but at most once a second. 0 disables eviction.
 	IdleTTL time.Duration
@@ -122,16 +126,13 @@ type Config struct {
 
 	// OplogDir enables the write-ahead oplog: every applied push row is
 	// made durable there before its batch is acknowledged, and the server
-	// replays the directory's checkpoint + log suffix at startup. Empty
-	// disables durability (the pre-oplog behavior).
+	// replays the directory's checkpoint + log suffix at startup. The
+	// oplog's spill store holds evicted and paged-out streams. Empty
+	// disables durability and spilling.
 	OplogDir string
-	// SpillDir is the on-disk stream store for spilled idle streams.
-	// Empty with OplogDir set defaults to OplogDir/streams; empty without
-	// an oplog disables spilling (eviction discards, as before).
-	SpillDir string
 	// MaxResident bounds the detector streams resident in memory; pushes
 	// that would exceed it spill the least-recently-pushed streams first.
-	// Requires a spill store. 0 means unbounded.
+	// Requires OplogDir. 0 means unbounded.
 	MaxResident int
 }
 
@@ -170,8 +171,8 @@ type Server struct {
 	mu       sync.Mutex
 	lastPush map[string]time.Time
 
-	// Durability tier (durability.go). wal and spill are nil when the
-	// corresponding Config directory is unset.
+	// Durability tier (durability.go). wal and spill (the oplog's spill
+	// store) are both nil without Config.OplogDir.
 	wal      *oplog.Log
 	spill    *oplog.StreamStore
 	poolPeak atomic.Int64   // high-water mark of resident streams
@@ -316,6 +317,9 @@ type resultRow struct {
 }
 
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
+	// The batch latency spans the whole accepted request: decode,
+	// residency, apply, oplog sync and the flushed response.
+	start := s.now()
 	trace := r.Header.Get(TraceHeader)
 	select {
 	case s.sem <- struct{}{}:
@@ -370,7 +374,6 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	for i, row := range rows {
 		batch[i] = core.StreamBag{StreamID: row.Stream, Bag: bag.Bag{Points: row.Bag}}
 	}
-	start := s.now()
 
 	// The oplog record for each applied row is enqueued from the engine's
 	// apply hook — under the stream's lock, so per-stream log order is
@@ -400,10 +403,10 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		s.notePoolPeak()
 	}
 
-	end := s.now()
+	applied := s.now()
 	s.mu.Lock()
 	for _, row := range rows {
-		s.lastPush[row.Stream] = end
+		s.lastPush[row.Stream] = applied
 	}
 	s.mu.Unlock()
 
@@ -474,7 +477,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	if dropped > 0 {
 		s.met.respWriteErrors.Add(uint64(dropped))
 	}
-	elapsed := end.Sub(start)
+	elapsed := s.now().Sub(start)
 	s.met.observeBatch(elapsed.Seconds(), len(rows), points, rowErrors)
 	if s.cfg.SlowPush > 0 && elapsed >= s.cfg.SlowPush {
 		s.log.Warn("slow push batch",
@@ -632,35 +635,15 @@ func (s *Server) handleCloseStream(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{"closed": id})
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	// ?since=M cuts a DELTA: only the streams mutated after mark M (a
-	// value served in an earlier envelope's "mark" field), as a partial
-	// envelope whose own mark is the next high-water value. Cost scales
-	// with the dirty-stream count, not the fleet size.
-	var since uint64
-	var delta bool
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad since mark %q: %v", raw, err), http.StatusBadRequest)
-			return
-		}
-		since, delta = v, true
-	}
+func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	// Exclusive: waits for in-flight pushes, holds new ones. The engine
 	// is fully quiescent for the duration, so the captured state is a
 	// consistent cut across every stream.
 	start := s.now()
 	s.state.Lock()
-	var snap *core.EngineSnapshot
-	var err error
-	if delta {
-		snap, err = s.eng.SnapshotDelta(since)
-	} else {
-		snap, err = s.eng.Snapshot()
-	}
+	snap, err := s.eng.Snapshot()
 	if err == nil {
-		err = s.addSpilledLocked(snap, since)
+		err = s.addSpilledLocked(snap)
 	}
 	s.state.Unlock()
 	if err != nil {
@@ -670,7 +653,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.met.snapshots.Inc()
 	s.log.Info("snapshot served",
 		"streams", len(snap.Streams),
-		"delta", delta,
 		"mark", snap.Mark,
 		"duration", s.now().Sub(start).Seconds())
 	s.writeJSON(w, snap)
@@ -742,8 +724,8 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, snap)
 }
 
-// handleAdopt is the receiving half of a migration (and of a delta
-// refresh): the posted envelope's streams are merged into the live
+// handleAdopt is the receiving half of a migration: the posted
+// envelope's streams are merged into the live
 // engine without touching its other streams. A stream already open here
 // answers 409 — the engine state is left exactly as it was, so a
 // botched migration never rewinds a live stream.
@@ -790,8 +772,13 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	s.state.Lock()
 	defer s.state.Unlock()
 	// Vet the envelope BEFORE tearing anything down: a mismatched
-	// version or configuration fingerprint must answer 409 with the
-	// server's live streams untouched, not wipe them first.
+	// version or fingerprint, or a malformed stream state, must answer
+	// 409 with the server's live streams untouched, not wipe them first.
+	// An envelope ValidateSnapshot accepts restores onto an empty engine.
+	if snap.Partial {
+		http.Error(w, "envelope is partial; merge it via /v1/streams/adopt", http.StatusConflict)
+		return
+	}
 	if err := s.eng.ValidateSnapshot(&snap); err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
@@ -801,18 +788,16 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	// streams), then rebuild from the envelope.
 	s.eng.CloseAll()
 	if err := s.eng.Restore(&snap); err != nil {
-		// A failed restore may leave a partial stream set; don't serve it.
-		s.eng.CloseAll()
+		// Restore rolled back to no open streams.
 		s.resetBookkeeping(nil)
-		http.Error(w, err.Error(), http.StatusConflict)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	s.resetBookkeeping(&snap)
 	// The envelope replaced ALL state: stale spill files would later
 	// fault dead lives back in, and the old log no longer describes
 	// anything. Clear the store and collapse the log into a covers-all
-	// checkpoint (restore rewinds the engine's mark counter, so the old
-	// records' marks cannot be compared against the new envelope's).
+	// checkpoint.
 	if err := s.clearSpillLocked(); err != nil {
 		http.Error(w, fmt.Sprintf("restore applied but spill store not cleared: %v", err), http.StatusInternalServerError)
 		return
@@ -865,7 +850,6 @@ type streamStatsRow struct {
 	Bags       int               `json:"bags"`
 	WindowFill int               `json:"window_fill"`
 	WindowSize int               `json:"window_size"`
-	DirtyMark  uint64            `json:"dirty_mark"`
 	Last       *lastPointRow     `json:"last,omitempty"`
 	Stages     []core.StageTotal `json:"stages"`
 }
@@ -882,7 +866,7 @@ type lastPointRow struct {
 
 // handleStreamStats serves the live introspection view of one stream:
 // bag clock, window fill, last score/interval, cumulative per-stage
-// push costs, and the delta-snapshot dirty mark.
+// push costs.
 func (s *Server) handleStreamStats(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.state.RLock()
@@ -903,7 +887,6 @@ func (s *Server) handleStreamStats(w http.ResponseWriter, r *http.Request) {
 		Bags:       stats.Bags,
 		WindowFill: stats.WindowFill,
 		WindowSize: stats.WindowSize,
-		DirtyMark:  stats.DirtyMark,
 		Stages:     stats.Stages,
 	}
 	if stats.HasLast {
@@ -924,9 +907,9 @@ func (s *Server) forget(id string) {
 }
 
 // EvictIdle evicts streams idle for at least ttl and returns the
-// evicted ids (sorted). With a spill store the stream's envelope pages
-// out to disk (a later push faults it back in, bit-identical);
-// otherwise its state is discarded. The janitor calls it periodically;
+// evicted ids (sorted). With an oplog the stream's envelope spills to
+// its store (a later push faults it back in, bit-identical); otherwise
+// its state is discarded. The janitor calls it periodically;
 // tests call it directly with a synthetic clock.
 //
 // The sweep does not hold the exclusive phase lock for its whole
@@ -968,8 +951,8 @@ func (s *Server) EvictIdle(ttl time.Duration) []string {
 		if s.spill != nil {
 			evicted = append(evicted, s.spillStreamsLocked(victims)...)
 		} else {
-			// Discard mode. Setting OplogDir defaults SpillDir, so there is
-			// no oplog here either and no close record to write.
+			// Discard mode: the spill store comes with the oplog, so there
+			// is no log here either and no close record to write.
 			for _, id := range victims {
 				if st, ok := s.eng.Get(id); ok {
 					st.Close()

@@ -478,6 +478,15 @@ func TestPushValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesPoolWithoutOplog: the spill store comes with the oplog,
+// so a bounded pool without one has nowhere to page streams out to.
+func TestNewRefusesPoolWithoutOplog(t *testing.T) {
+	_, err := New(Config{Engine: testEngine(t), MaxResident: 1})
+	if err == nil || !strings.Contains(err.Error(), "MaxResident requires OplogDir") {
+		t.Fatalf("New(MaxResident without OplogDir) = %v, want a MaxResident/OplogDir error", err)
+	}
+}
+
 func testEngineIDs(t *testing.T, ts *httptest.Server) []string {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/streams")
@@ -728,64 +737,5 @@ func TestExtractAdoptHTTP(t *testing.T) {
 		if string(g) != string(w) {
 			t.Fatalf("step %d staying stream:\n got %s\nwant %s", step, g, w)
 		}
-	}
-}
-
-// TestSnapshotDeltaHTTP: ?since=M serves only the streams mutated after
-// mark M — the warm-standby refresh is O(dirty), not O(fleet).
-func TestSnapshotDeltaHTTP(t *testing.T) {
-	_, ts := newTestServer(t, nil)
-	all := []string{"d-0", "d-1", "d-2", "d-3", "d-4"}
-	doPush(t, ts, pushBody(0, all...))
-
-	getSnap := func(query string) *core.EngineSnapshot {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/snapshot" + query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		blob, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("snapshot%s status %d: %s", query, resp.StatusCode, blob)
-		}
-		var snap core.EngineSnapshot
-		if err := json.Unmarshal(blob, &snap); err != nil {
-			t.Fatal(err)
-		}
-		return &snap
-	}
-
-	full := getSnap("")
-	if full.Partial || len(full.Streams) != len(all) {
-		t.Fatalf("full snapshot: partial=%t streams=%d", full.Partial, len(full.Streams))
-	}
-
-	dirty := []string{"d-1", "d-3"}
-	doPush(t, ts, pushBody(1, dirty...))
-	delta := getSnap(fmt.Sprintf("?since=%d", full.Mark))
-	if !delta.Partial || len(delta.Streams) != len(dirty) {
-		t.Fatalf("delta: partial=%t streams=%d, want partial with %d", delta.Partial, len(delta.Streams), len(dirty))
-	}
-	for i, id := range dirty {
-		if delta.Streams[i].ID != id {
-			t.Fatalf("delta stream %d = %s, want %s", i, delta.Streams[i].ID, id)
-		}
-	}
-
-	// Nothing mutated since the delta's own mark: the next delta is empty.
-	empty := getSnap(fmt.Sprintf("?since=%d", delta.Mark))
-	if len(empty.Streams) != 0 {
-		t.Fatalf("delta-of-quiet: %d streams, want 0", len(empty.Streams))
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/snapshot?since=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad since mark status %d, want 400", resp.StatusCode)
 	}
 }

@@ -390,8 +390,8 @@ type Server = server.Server
 // ServerConfig parameterizes NewServer: the Engine it fronts (required),
 // MaxInFlight push batches (back-pressure; 429 beyond it), MaxBatchBags
 // and MaxBatchBytes per request, IdleTTL eviction, logging (Logger,
-// SlowPush), and durability: the OplogDir write-ahead log, the SpillDir
-// stream store and the MaxResident pool bound.
+// SlowPush), and durability: the OplogDir write-ahead log (which carries
+// the spill store) and the MaxResident pool bound, which requires it.
 type ServerConfig = server.Config
 
 // NewServer validates cfg and returns a ready HTTP front-end; mount it
