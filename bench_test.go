@@ -239,36 +239,10 @@ func BenchmarkBootstrapCI(b *testing.B) {
 	score := func(gRef, gTest []float64) float64 { return infoest.ScoreKL(win, gRef, gTest) }
 	base := infoest.UniformWeights(5)
 	cfg := bootstrap.Config{Replicates: 1000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bootstrap.ConfidenceInterval(score, base, base, cfg, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBootstrapCIParallel is the same interval with the replicate
-// shards spread over all cores (the detector's default regime).
-func BenchmarkBootstrapCIParallel(b *testing.B) {
-	rng := randx.New(5)
-	n := 10
-	logD := make([][]float64, n)
-	for i := range logD {
-		logD[i] = make([]float64, n)
-		for j := range logD[i] {
-			if i != j {
-				logD[i][j] = rng.Normal(0, 1)
-			}
-		}
-	}
-	win := infoest.Window{LogD: logD, NRef: 5, NTest: 5}
-	score := func(gRef, gTest []float64) float64 { return infoest.ScoreKL(win, gRef, gTest) }
-	base := infoest.UniformWeights(5)
-	cfg := bootstrap.Config{Replicates: 1000, Workers: runtime.GOMAXPROCS(0)}
 	est := bootstrap.NewSeededEstimator(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Interval(score, base, base, cfg, nil); err != nil {
+		if _, err := est.Interval(score, base, base, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -326,7 +300,7 @@ func BenchmarkDetectorPushHistogram(b *testing.B) {
 				Tau: 8, TauPrime: 8,
 				Builder:           NewHistogramBuilder(0, 1, 64),
 				Ground:            emd.Manhattan,
-				Bootstrap:         BootstrapConfig{Replicates: 100, Workers: 1},
+				Bootstrap:         BootstrapConfig{Replicates: 100},
 				EMDCostCacheSlots: tc.slots,
 			})
 			if err != nil {
@@ -373,7 +347,7 @@ func BenchmarkDetectorPushMixedSupport(b *testing.B) {
 				Tau: 8, TauPrime: 8,
 				Builder:           KMeansFactory(16)(11),
 				Ground:            emd.Manhattan,
-				Bootstrap:         BootstrapConfig{Replicates: 100, Workers: 1},
+				Bootstrap:         BootstrapConfig{Replicates: 100},
 				EMDCostCacheSlots: tc.slots,
 			})
 			if err != nil {

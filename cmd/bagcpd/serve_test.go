@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -301,5 +302,24 @@ func TestServePoolMaxRequiresOplog(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "-oplog") {
 		t.Fatalf("error output %q does not name -oplog", out)
+	}
+}
+
+// TestServeAlphaNaNRefused: an -alpha outside [0, 1) is a usage error
+// (exit 2) at startup, not a server that panics on the first interval
+// it computes. The timeout turns a server that starts anyway into a
+// failure instead of a hang.
+func TestServeAlphaNaNRefused(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], append(append([]string{}, serveArgs...), "-alpha", "NaN")...)
+	cmd.Env = append(os.Environ(), "BAGCPD_SERVE_HELPER=1")
+	out, err := cmd.CombinedOutput()
+	exit, ok := err.(*exec.ExitError)
+	if !ok || exit.ExitCode() != 2 {
+		t.Fatalf("bagcpd -serve -alpha NaN = %v, want exit status 2 (output %q)", err, out)
+	}
+	if !strings.Contains(string(out), "Alpha") {
+		t.Fatalf("error output %q does not name Alpha", out)
 	}
 }

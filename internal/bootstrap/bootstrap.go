@@ -17,9 +17,12 @@
 //
 // Replicates are organized in fixed-size shards, each driven by its own
 // xoshiro256++ stream (randx.NewFast) derived with randx.SplitSeed from a
-// single base seed. The result is therefore bit-identical for a given
-// seed no matter how many worker goroutines execute the shards —
-// parallelism is a pure throughput knob. The Estimator type owns all scratch (Dirichlet parameters, weight
+// single base seed. The streams are created once and advance across
+// calls, and every shard runs in order on the caller's goroutine, so the
+// sequence of intervals is a deterministic function of the seed and the
+// call sequence. Callers that want parallelism run independent
+// Estimators (the engine fans streams, not replicates, across cores).
+// The Estimator type owns all scratch (Dirichlet parameters, weight
 // vectors, the replicate score buffer, shard RNGs) so a warm Estimator
 // computes intervals with zero steady-state allocations.
 package bootstrap
@@ -28,32 +31,38 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/randx"
 )
 
 // Config controls confidence-interval estimation.
 type Config struct {
-	// Replicates is T, the number of bootstrap replicates (default 1000).
+	// Replicates is T, the number of bootstrap replicates (0 selects
+	// the default 1000).
 	Replicates int
 	// Alpha is the significance level; the interval covers 1−Alpha
-	// (default 0.05 → 95% interval).
+	// (0 selects the default 0.05 → 95% interval).
 	Alpha float64
-	// Workers caps the number of goroutines evaluating replicate shards.
-	// 0 or 1 evaluates everything on the calling goroutine (safe for
-	// stateful score functions); >= 2 requires score to be safe for
-	// concurrent calls. The interval is bit-identical for a given RNG
-	// state regardless of Workers.
-	Workers int
+}
+
+// Validate rejects the settings withDefaults would not map: an Alpha
+// outside [0, 1) or non-finite, and a negative Replicates. Zero means
+// the default for both.
+func (c Config) Validate() error {
+	if !(c.Alpha >= 0 && c.Alpha < 1) {
+		return fmt.Errorf("bootstrap: Alpha must be in [0, 1) (0 = default 0.05), got %g", c.Alpha)
+	}
+	if c.Replicates < 0 {
+		return fmt.Errorf("bootstrap: Replicates must be >= 0 (0 = default 1000), got %d", c.Replicates)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicates <= 0 {
+	if c.Replicates == 0 {
 		c.Replicates = 1000
 	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
+	if c.Alpha == 0 {
 		c.Alpha = 0.05
 	}
 	return c
@@ -75,9 +84,8 @@ func (iv Interval) Width() float64 { return iv.Up - iv.Lo }
 
 // ScoreFunc evaluates the statistic under one weight assignment. The
 // slices are owned by the caller and reused across replicates; the
-// function must not retain them. When Config.Workers >= 2 the function is
-// called from multiple goroutines concurrently and must be safe for that
-// (pure functions of the arguments, like the infoest scores, are).
+// function must not retain them. It is called serially, on the
+// goroutine that calls Interval.
 type ScoreFunc func(gRef, gTest []float64) float64
 
 // shardSize is the number of replicates per RNG stream. It is part of
@@ -85,53 +93,28 @@ type ScoreFunc func(gRef, gTest []float64) float64
 // which replicate and hence the drawn weights for a given seed.
 const shardSize = 64
 
-// shardState is one replicate shard's private scratch.
-type shardState struct {
-	rng         *randx.RNG
-	gRef, gTest []float64
-}
-
 // Estimator computes Bayesian-bootstrap confidence intervals with
-// reusable scratch buffers and optional parallel shard evaluation.
-// The zero value is NOT ready; use NewEstimator or NewSeededEstimator. An
+// reusable scratch buffers. Create it with NewSeededEstimator. An
 // Estimator is not safe for concurrent use (but distinct Estimators are
 // independent).
 type Estimator struct {
 	alphaRef, alphaTest []float64
+	gRef, gTest         []float64
 	scores              []float64
-	shards              []shardState
-
-	// persistent selects the shard stream regime. A seeded estimator owns
-	// long-lived shard streams derived once from seedBase; an unseeded one
-	// reseeds every shard from the caller's RNG on each call.
-	persistent bool
-	seedBase   int64
-
-	// Per-call state shared with worker goroutines.
-	score      ScoreFunc
-	replicates int
-	numShards  int
-	next       atomic.Int64
-	wg         sync.WaitGroup
+	// shards[k] is shard k's persistent stream, created lazily at
+	// NewFast(SplitSeed(seedBase, k)).
+	shards   []*randx.RNG
+	seedBase int64
 }
-
-// NewEstimator returns an estimator in per-call reseed mode: every
-// Interval call consumes one draw from its rng argument and deterministic
-// shard streams are derived from it, so a pooled/shared Estimator gives
-// reproducible results purely as a function of the caller's RNG state.
-// Buffers grow on first use and are retained for subsequent calls.
-func NewEstimator() *Estimator { return &Estimator{} }
 
 // NewSeededEstimator returns an estimator with persistent shard streams:
 // shard k is driven by the stream NewFast(SplitSeed(seed, k)), created
 // once and advanced across calls, so no reseeding cost is ever paid. The
 // sequence of intervals is a deterministic function of seed and the call
-// sequence, and — like the per-call mode — bit-identical regardless of
-// Config.Workers. The rng argument of Interval is ignored (may be nil).
-// This is the regime for streaming detectors, which pay for an interval
-// on every push.
+// sequence. Buffers grow on first use and are retained for subsequent
+// calls.
 func NewSeededEstimator(seed int64) *Estimator {
-	return &Estimator{persistent: true, seedBase: seed}
+	return &Estimator{seedBase: seed}
 }
 
 // ResetStreams rewinds the estimator to the state NewSeededEstimator(seed)
@@ -139,20 +122,18 @@ func NewSeededEstimator(seed int64) *Estimator {
 // seed, with all scratch buffers retained. Pooled detectors use this to
 // recycle a warm estimator for a new stream without reallocating its
 // shard RNGs — the subsequent interval sequence is bit-identical to a
-// freshly seeded estimator's. Calling it on a per-call estimator
-// (NewEstimator) converts it to persistent mode.
+// freshly seeded estimator's.
 func (e *Estimator) ResetStreams(seed int64) {
-	e.persistent = true
 	e.seedBase = seed
-	for k := range e.shards {
-		e.shards[k].rng.Reseed(randx.SplitSeed(seed, int64(k)))
+	for k, rng := range e.shards {
+		rng.Reseed(randx.SplitSeed(seed, int64(k)))
 	}
 }
 
-// StreamState is the serializable position of a seeded estimator's
-// persistent shard streams. Restoring it with RestoreStreams yields an
-// estimator whose future intervals are bit-identical to the one it was
-// captured from — the checkpoint/resume hook the engine snapshot uses.
+// StreamState is the serializable position of an estimator's persistent
+// shard streams. Restoring it with RestoreStreams yields an estimator
+// whose future intervals are bit-identical to the one it was captured
+// from — the checkpoint/resume hook the engine snapshot uses.
 type StreamState struct {
 	// Seed is the estimator's base seed (shard k's stream derives from
 	// SplitSeed(Seed, k)).
@@ -164,22 +145,14 @@ type StreamState struct {
 	Shards []randx.State `json:"shards"`
 }
 
-// StreamState captures the persistent shard stream positions of a seeded
-// estimator (NewSeededEstimator or ResetStreams). It errors on a per-call
-// estimator, whose shard streams are reseeded from the caller's RNG every
-// Interval and therefore have no position of their own to checkpoint.
-func (e *Estimator) StreamState() (StreamState, error) {
-	if !e.persistent {
-		return StreamState{}, fmt.Errorf("bootstrap: StreamState requires a seeded estimator (NewSeededEstimator)")
-	}
+// StreamState captures the positions of the estimator's shard streams.
+func (e *Estimator) StreamState() StreamState {
 	st := StreamState{Seed: e.seedBase, Shards: make([]randx.State, len(e.shards))}
-	for k := range e.shards {
-		var err error
-		if st.Shards[k], err = e.shards[k].rng.State(); err != nil {
-			return StreamState{}, fmt.Errorf("bootstrap: shard %d: %w", k, err)
-		}
+	for k, rng := range e.shards {
+		// Every shard is a NewFast stream, whose State cannot fail.
+		st.Shards[k], _ = rng.State()
 	}
-	return st, nil
+	return st
 }
 
 // RestoreStreams positions the estimator's persistent shard streams at
@@ -189,42 +162,28 @@ func (e *Estimator) StreamState() (StreamState, error) {
 // created yet). The cost is a copy per shard, independent of how many
 // intervals the captured estimator had computed. After RestoreStreams the
 // estimator's interval sequence is bit-identical to the estimator
-// StreamState was captured from. Like ResetStreams, calling it on a
-// per-call estimator converts it to persistent mode.
+// StreamState was captured from.
 func (e *Estimator) RestoreStreams(st StreamState) error {
 	e.ResetStreams(st.Seed)
 	e.growShards(len(st.Shards))
 	for k := range st.Shards {
-		if err := e.shards[k].rng.Restore(st.Shards[k]); err != nil {
+		if err := e.shards[k].Restore(st.Shards[k]); err != nil {
 			return fmt.Errorf("bootstrap: shard %d: %w", k, err)
 		}
 	}
 	return nil
 }
 
-var estimatorPool = sync.Pool{New: func() any { return NewEstimator() }}
-
-// ConfidenceInterval estimates the 100(1−α)% Bayesian-bootstrap interval
-// of score (Eq. 19). baseRef and baseTest are the base weight vectors θ
-// of the reference and test sets; each must be non-negative and sum to 1.
+// Interval estimates the 100(1−α)% Bayesian-bootstrap interval of score
+// (Eq. 19). baseRef and baseTest are the base weight vectors θ of the
+// reference and test sets; each must be non-negative and sum to 1.
 // Replicate r draws γ_ref ~ Dir(τ·θ_ref), γ_test ~ Dir(τ′·θ_test)
-// (Eq. 21-22) and evaluates score(γ_ref, γ_test).
-//
-// This is the convenience wrapper: it rents an Estimator from an internal
-// pool. Streaming callers (the detector) hold their own Estimator.
-func ConfidenceInterval(score ScoreFunc, baseRef, baseTest []float64, cfg Config, rng *randx.RNG) (Interval, error) {
-	e := estimatorPool.Get().(*Estimator)
-	defer estimatorPool.Put(e)
-	return e.Interval(score, baseRef, baseTest, cfg, rng)
-}
-
-// Interval estimates the confidence interval like ConfidenceInterval,
-// reusing the Estimator's scratch. In per-call reseed mode (NewEstimator)
-// rng is consumed for exactly one draw — the shard seed base — so the
-// caller's stream advances identically regardless of Replicates or
-// Workers. In persistent mode (NewSeededEstimator) rng is ignored and the
-// estimator's own shard streams advance instead.
-func (e *Estimator) Interval(score ScoreFunc, baseRef, baseTest []float64, cfg Config, rng *randx.RNG) (Interval, error) {
+// (Eq. 21-22) from shard r/64's stream and evaluates score(γ_ref,
+// γ_test). The estimator's shard streams advance; its scratch is reused.
+func (e *Estimator) Interval(score ScoreFunc, baseRef, baseTest []float64, cfg Config) (Interval, error) {
+	if err := cfg.Validate(); err != nil {
+		return Interval{}, err
+	}
 	cfg = cfg.withDefaults()
 	if err := validateWeights("baseRef", baseRef); err != nil {
 		return Interval{}, err
@@ -234,47 +193,19 @@ func (e *Estimator) Interval(score ScoreFunc, baseRef, baseTest []float64, cfg C
 	}
 	e.alphaRef = scaledInto(e.alphaRef, baseRef)
 	e.alphaTest = scaledInto(e.alphaTest, baseTest)
+	e.gRef = growFloats(e.gRef, len(baseRef))
+	e.gTest = growFloats(e.gTest, len(baseTest))
 
 	T := cfg.Replicates
-	e.replicates = T
-	e.numShards = (T + shardSize - 1) / shardSize
-	e.score = score
 	if cap(e.scores) < T {
 		e.scores = make([]float64, T)
 	}
 	e.scores = e.scores[:T]
-	e.growShards(e.numShards)
-	for k := 0; k < e.numShards; k++ {
-		s := &e.shards[k]
-		s.gRef = growFloats(s.gRef, len(baseRef))
-		s.gTest = growFloats(s.gTest, len(baseTest))
+	numShards := (T + shardSize - 1) / shardSize
+	e.growShards(numShards)
+	for k := 0; k < numShards; k++ {
+		e.runShard(k, score, T)
 	}
-
-	if !e.persistent {
-		// One draw from the caller's stream seeds every shard.
-		base := rng.Int63()
-		for k := 0; k < e.numShards; k++ {
-			e.shards[k].rng.Reseed(randx.SplitSeed(base, int64(k)))
-		}
-	}
-
-	workers := cfg.Workers
-	if workers > e.numShards {
-		workers = e.numShards
-	}
-	if workers <= 1 {
-		for k := 0; k < e.numShards; k++ {
-			e.runShard(k)
-		}
-	} else {
-		e.next.Store(0)
-		e.wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go e.runWorker()
-		}
-		e.wg.Wait()
-	}
-	e.score = nil // do not retain the caller's closure
 
 	lo := quantileSelect(e.scores, cfg.Alpha/2)
 	up := quantileSelect(e.scores, 1-cfg.Alpha/2)
@@ -282,38 +213,22 @@ func (e *Estimator) Interval(score ScoreFunc, baseRef, baseTest []float64, cfg C
 }
 
 // growShards materializes shard streams up to n. A new shard k starts at
-// NewFast(SplitSeed(seedBase, k)): its persistent stream's initial
-// position, and in per-call mode a placeholder reseeded before use.
+// its persistent stream's initial position, NewFast(SplitSeed(seedBase, k)).
 func (e *Estimator) growShards(n int) {
 	for k := len(e.shards); k < n; k++ {
-		e.shards = append(e.shards, shardState{rng: randx.NewFast(randx.SplitSeed(e.seedBase, int64(k)))})
+		e.shards = append(e.shards, randx.NewFast(randx.SplitSeed(e.seedBase, int64(k))))
 	}
 }
 
-// runWorker drains shard indices until none remain.
-func (e *Estimator) runWorker() {
-	defer e.wg.Done()
-	for {
-		k := int(e.next.Add(1)) - 1
-		if k >= e.numShards {
-			return
-		}
-		e.runShard(k)
-	}
-}
-
-// runShard evaluates the replicates of shard k into the scores buffer.
-func (e *Estimator) runShard(k int) {
-	s := &e.shards[k]
-	lo := k * shardSize
-	hi := lo + shardSize
-	if hi > e.replicates {
-		hi = e.replicates
-	}
-	for r := lo; r < hi; r++ {
-		s.rng.DirichletInto(e.alphaRef, s.gRef)
-		s.rng.DirichletInto(e.alphaTest, s.gTest)
-		e.scores[r] = e.score(s.gRef, s.gTest)
+// runShard evaluates shard k's replicates (those of the first T that
+// fall in [k·shardSize, (k+1)·shardSize)) into the scores buffer.
+func (e *Estimator) runShard(k int, score ScoreFunc, T int) {
+	rng := e.shards[k]
+	hi := min((k+1)*shardSize, T)
+	for r := k * shardSize; r < hi; r++ {
+		rng.DirichletInto(e.alphaRef, e.gRef)
+		rng.DirichletInto(e.alphaTest, e.gTest)
+		e.scores[r] = score(e.gRef, e.gTest)
 	}
 }
 

@@ -58,26 +58,49 @@ func TestKappaAndAlarm(t *testing.T) {
 
 func TestConfidenceIntervalValidation(t *testing.T) {
 	score := func(a, b []float64) float64 { return 0 }
-	rng := randx.New(1)
-	if _, err := ConfidenceInterval(score, nil, []float64{1}, Config{}, rng); err == nil {
+	if _, err := NewSeededEstimator(1).Interval(score, nil, []float64{1}, Config{}); err == nil {
 		t.Error("empty baseRef accepted")
 	}
-	if _, err := ConfidenceInterval(score, []float64{0.5, 0.4}, []float64{1}, Config{}, rng); err == nil {
+	if _, err := NewSeededEstimator(1).Interval(score, []float64{0.5, 0.4}, []float64{1}, Config{}); err == nil {
 		t.Error("non-normalized baseRef accepted")
 	}
-	if _, err := ConfidenceInterval(score, []float64{1}, []float64{-1, 2}, Config{}, rng); err == nil {
+	if _, err := NewSeededEstimator(1).Interval(score, []float64{1}, []float64{-1, 2}, Config{}); err == nil {
 		t.Error("negative baseTest accepted")
+	}
+}
+
+// TestConfigValidate: Alpha must be a finite level in [0, 1) and
+// Replicates non-negative (zero selects each default); Interval refuses
+// what Validate refuses instead of indexing the replicates with NaN.
+func TestConfigValidate(t *testing.T) {
+	score := func(a, b []float64) float64 { return a[0] }
+	base := []float64{0.5, 0.5}
+	for _, cfg := range []Config{
+		{Alpha: math.NaN()}, {Alpha: math.Inf(1)}, {Alpha: math.Inf(-1)},
+		{Alpha: -0.1}, {Alpha: 1}, {Alpha: 1.5}, {Replicates: -5},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted", cfg)
+		}
+		if _, err := NewSeededEstimator(1).Interval(score, base, base, cfg); err == nil {
+			t.Errorf("Interval with %+v accepted", cfg)
+		}
+	}
+	for _, cfg := range []Config{{}, {Alpha: 0.05, Replicates: 1}, {Alpha: 0.999}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", cfg, err)
+		}
 	}
 }
 
 func TestConfidenceIntervalDeterministicGivenSeed(t *testing.T) {
 	score := func(a, b []float64) float64 { return a[0] - b[0] }
 	base := []float64{0.5, 0.5}
-	iv1, err := ConfidenceInterval(score, base, base, Config{Replicates: 200}, randx.New(42))
+	iv1, err := NewSeededEstimator(42).Interval(score, base, base, Config{Replicates: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv2, err := ConfidenceInterval(score, base, base, Config{Replicates: 200}, randx.New(42))
+	iv2, err := NewSeededEstimator(42).Interval(score, base, base, Config{Replicates: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +127,7 @@ func TestConfidenceIntervalOfWeightedMean(t *testing.T) {
 	for i := range base {
 		base[i] = 1 / float64(n)
 	}
-	iv, err := ConfidenceInterval(score, base, []float64{1}, Config{Replicates: 4000}, randx.New(7))
+	iv, err := NewSeededEstimator(7).Interval(score, base, []float64{1}, Config{Replicates: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +166,11 @@ func TestWeightedBaseShiftsInterval(t *testing.T) {
 	uniform := []float64{0.25, 0.25, 0.25, 0.25}
 	skewed := []float64{0.05, 0.05, 0.05, 0.85}
 	dummy := []float64{1}
-	ivU, err := ConfidenceInterval(score, uniform, dummy, Config{Replicates: 2000}, randx.New(9))
+	ivU, err := NewSeededEstimator(9).Interval(score, uniform, dummy, Config{Replicates: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivS, err := ConfidenceInterval(score, skewed, dummy, Config{Replicates: 2000}, randx.New(9))
+	ivS, err := NewSeededEstimator(9).Interval(score, skewed, dummy, Config{Replicates: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +187,7 @@ func TestZeroBaseWeightGetsAlmostNoMass(t *testing.T) {
 	// should receive essentially no resampled mass.
 	score := func(gRef, _ []float64) float64 { return gRef[0] }
 	base := []float64{0, 0.5, 0.5}
-	iv, err := ConfidenceInterval(score, base, []float64{1}, Config{Replicates: 500}, randx.New(11))
+	iv, err := NewSeededEstimator(11).Interval(score, base, []float64{1}, Config{Replicates: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +220,7 @@ func TestCoverageOfBootstrapInterval(t *testing.T) {
 			}
 			return s
 		}
-		iv, err := ConfidenceInterval(score, base, []float64{1}, Config{Replicates: 400}, master.Split(int64(d)))
+		iv, err := NewSeededEstimator(randx.SplitSeed(13, int64(d))).Interval(score, base, []float64{1}, Config{Replicates: 400})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +242,7 @@ func TestScoresSortedInternally(t *testing.T) {
 		return gRef[0]*3 - gTest[0] + rng.Float64()*0.01
 	}
 	base2 := []float64{0.7, 0.3}
-	iv, err := ConfidenceInterval(score, base2, base2, Config{Replicates: 333, Alpha: 0.1}, randx.New(19))
+	iv, err := NewSeededEstimator(19).Interval(score, base2, base2, Config{Replicates: 333, Alpha: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

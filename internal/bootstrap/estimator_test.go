@@ -9,8 +9,7 @@ import (
 	"repro/internal/testutil"
 )
 
-// kl-ish pure score used by the parallel tests: must be safe for
-// concurrent calls.
+// pureScore is a cheap deterministic statistic over both weight vectors.
 func pureScore(gRef, gTest []float64) float64 {
 	s := 0.0
 	for i, g := range gRef {
@@ -22,53 +21,73 @@ func pureScore(gRef, gTest []float64) float64 {
 	return s
 }
 
-// TestIntervalBitIdenticalAcrossWorkers is the reproducibility contract
-// of the sharded bootstrap: for a fixed RNG state the interval must be
-// bit-identical no matter how many workers evaluate the shards.
-func TestIntervalBitIdenticalAcrossWorkers(t *testing.T) {
-	base := []float64{0.25, 0.25, 0.25, 0.25}
+// TestIntervalShardLayout pins the replicate-to-stream layout: replicate
+// r of every call draws its Dirichlet weights (ref, then test) from the
+// persistent stream NewFast(SplitSeed(seed, r/64)), and the interval is
+// the sort-based quantile pair of the replicate scores. Two consecutive
+// calls must match the reference bit for bit, so the second call also
+// checks that the shard streams advance instead of restarting.
+func TestIntervalShardLayout(t *testing.T) {
+	const seed = 42
+	baseRef := []float64{0.25, 0.25, 0.25, 0.25}
+	baseTest := []float64{0.5, 0.25, 0.25}
+	alphaRef := []float64{1, 1, 1, 1}       // 4·θ_ref: the Exp(1) path
+	alphaTest := []float64{1.5, 0.75, 0.75} // 3·θ_test: the Gamma path
 	for _, T := range []int{1, 63, 64, 65, 1000} {
-		var want Interval
-		for wi, workers := range []int{1, 2, 4, 16} {
-			e := NewEstimator()
-			iv, err := e.Interval(pureScore, base, base,
-				Config{Replicates: T, Workers: workers}, randx.New(42))
+		cfg := Config{Replicates: T, Alpha: 0.1}
+		e := NewSeededEstimator(seed)
+		var streams []*randx.RNG
+		for k := 0; k*64 < T; k++ {
+			streams = append(streams, randx.NewFast(randx.SplitSeed(seed, int64(k))))
+		}
+		for call := 0; call < 2; call++ {
+			scores := make([]float64, T)
+			for r := range scores {
+				rng := streams[r/64]
+				gRef := rng.Dirichlet(alphaRef)
+				gTest := rng.Dirichlet(alphaTest)
+				scores[r] = pureScore(gRef, gTest)
+			}
+			sort.Float64s(scores)
+			want := Interval{
+				Lo:    Quantile(scores, 0.05),
+				Up:    Quantile(scores, 0.95),
+				Point: pureScore(baseRef, baseTest),
+			}
+			got, err := e.Interval(pureScore, baseRef, baseTest, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wi == 0 {
-				want = iv
-			} else if iv != want {
-				t.Fatalf("T=%d workers=%d: %+v != %+v", T, workers, iv, want)
+			if got != want {
+				t.Fatalf("T=%d call %d: %+v, reference %+v", T, call, got, want)
 			}
 		}
 	}
 }
 
 // TestSeededEstimatorDeterministicSequence: a persistent-stream estimator
-// reproduces the same interval SEQUENCE for the same seed, and the
-// sequence is worker-count invariant.
+// reproduces the same interval SEQUENCE for the same seed, and a
+// different seed gives a different sequence.
 func TestSeededEstimatorDeterministicSequence(t *testing.T) {
 	base := []float64{0.5, 0.3, 0.2}
-	cfgSeq := Config{Replicates: 300, Workers: 1}
-	cfgPar := Config{Replicates: 300, Workers: 8}
+	cfg := Config{Replicates: 300}
 	a := NewSeededEstimator(7)
 	b := NewSeededEstimator(7)
 	other := NewSeededEstimator(8)
 	sawDifferent := false
 	for step := 0; step < 5; step++ {
-		ivA, err := a.Interval(pureScore, base, base, cfgSeq, nil)
+		ivA, err := a.Interval(pureScore, base, base, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ivB, err := b.Interval(pureScore, base, base, cfgPar, nil)
+		ivB, err := b.Interval(pureScore, base, base, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ivA != ivB {
-			t.Fatalf("step %d: sequential %+v != parallel %+v", step, ivA, ivB)
+			t.Fatalf("step %d: same seed gave %+v != %+v", step, ivA, ivB)
 		}
-		ivO, err := other.Interval(pureScore, base, base, cfgSeq, nil)
+		ivO, err := other.Interval(pureScore, base, base, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +139,7 @@ func TestNaNScoresDoNotPanic(t *testing.T) {
 		}
 		return gRef[0]
 	}
-	iv, err := ConfidenceInterval(nanScore, base, base, Config{Replicates: 200}, randx.New(1))
+	iv, err := NewSeededEstimator(1).Interval(nanScore, base, base, Config{Replicates: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,53 +150,30 @@ func TestNaNScoresDoNotPanic(t *testing.T) {
 	}
 	// All-NaN scores must also survive.
 	allNaN := func(_, _ []float64) float64 { return math.NaN() }
-	if _, err := ConfidenceInterval(allNaN, base, base, Config{Replicates: 50}, randx.New(2)); err != nil {
+	if _, err := NewSeededEstimator(2).Interval(allNaN, base, base, Config{Replicates: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestWarmEstimatorZeroAllocs is the allocation-regression guard for the
-// bootstrap stage: a warm sequential Estimator computes a full interval
-// without heap allocations.
+// bootstrap stage: a warm Estimator computes a full interval without
+// heap allocations.
 func TestWarmEstimatorZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	base := []float64{0.2, 0.2, 0.2, 0.2, 0.2}
-	cfg := Config{Replicates: 500, Workers: 1}
+	cfg := Config{Replicates: 500}
 	e := NewSeededEstimator(3)
-	if _, err := e.Interval(pureScore, base, base, cfg, nil); err != nil {
+	if _, err := e.Interval(pureScore, base, base, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.Interval(pureScore, base, base, cfg, nil); err != nil {
+		if _, err := e.Interval(pureScore, base, base, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Errorf("warm Estimator.Interval: %g allocs/op, want 0", allocs)
-	}
-}
-
-// TestParallelEstimatorBoundedAllocs: the parallel path may pay a few
-// goroutine-spawn allocations but must stay far away from per-replicate
-// allocation.
-func TestParallelEstimatorBoundedAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	base := []float64{0.2, 0.2, 0.2, 0.2, 0.2}
-	cfg := Config{Replicates: 1000, Workers: 4}
-	e := NewSeededEstimator(3)
-	if _, err := e.Interval(pureScore, base, base, cfg, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.Interval(pureScore, base, base, cfg, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 16 {
-		t.Errorf("parallel Estimator.Interval: %g allocs/op, want <= 16 (goroutine spawns only)", allocs)
 	}
 }
 
@@ -204,57 +200,17 @@ func TestUniformBaseTakesExpPath(t *testing.T) {
 	}
 }
 
-// TestConfidenceIntervalStatisticalSanityParallel repeats the weighted
-// mean check through the parallel path: posterior mean and width must
-// match Rubin's theory regardless of sharding.
-func TestConfidenceIntervalStatisticalSanityParallel(t *testing.T) {
-	values := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	n := len(values)
-	score := func(gRef, _ []float64) float64 {
-		s := 0.0
-		for i, g := range gRef {
-			s += g * values[i]
-		}
-		return s
-	}
-	base := make([]float64, n)
-	for i := range base {
-		base[i] = 1 / float64(n)
-	}
-	iv, err := ConfidenceInterval(score, base, []float64{1},
-		Config{Replicates: 4000, Workers: 4}, randx.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := 5.5
-	if math.Abs(iv.Point-mean) > 1e-9 {
-		t.Errorf("Point = %g, want %g", iv.Point, mean)
-	}
-	if !(iv.Lo < mean && mean < iv.Up) {
-		t.Errorf("interval [%g, %g] does not bracket %g", iv.Lo, iv.Up, mean)
-	}
-	sd := 0.0
-	for _, v := range values {
-		sd += (v - mean) * (v - mean)
-	}
-	sd = math.Sqrt(sd / float64(n) / float64(n+1))
-	wantWidth := 2 * 1.96 * sd
-	if math.Abs(iv.Width()-wantWidth) > 0.35*wantWidth {
-		t.Errorf("width = %g, want ≈ %g", iv.Width(), wantWidth)
-	}
-}
-
 // TestResetStreamsRewindsSeededEstimator: after ResetStreams(seed) a used
 // persistent estimator reproduces the exact interval sequence of a fresh
 // NewSeededEstimator(seed) — the property the detector pool relies on to
 // recycle warm estimators.
 func TestResetStreamsRewindsSeededEstimator(t *testing.T) {
 	base := []float64{0.5, 0.3, 0.2}
-	cfg := Config{Replicates: 300, Workers: 2}
+	cfg := Config{Replicates: 300}
 	sequence := func(e *Estimator, n int) []Interval {
 		out := make([]Interval, n)
 		for i := range out {
-			iv, err := e.Interval(pureScore, base, base, cfg, nil)
+			iv, err := e.Interval(pureScore, base, base, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,16 +231,6 @@ func TestResetStreamsRewindsSeededEstimator(t *testing.T) {
 	want := sequence(NewSeededEstimator(11), 4)
 	if got := sequence(e, 4); !slicesEqualIntervals(got, want) {
 		t.Fatalf("reset to new seed diverged from fresh estimator: %+v vs %+v", got, want)
-	}
-
-	// A per-call estimator converts cleanly to persistent mode.
-	p := NewEstimator()
-	if _, err := p.Interval(pureScore, base, base, cfg, randx.New(3)); err != nil {
-		t.Fatal(err)
-	}
-	p.ResetStreams(7)
-	if got := sequence(p, 4); !slicesEqualIntervals(got, first) {
-		t.Fatalf("converted estimator diverged: %+v vs %+v", got, first)
 	}
 }
 

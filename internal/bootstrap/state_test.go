@@ -24,7 +24,7 @@ func stateIntervals(t *testing.T, e *Estimator, n int) []Interval {
 	cfg := Config{Replicates: 150, Alpha: 0.1}
 	out := make([]Interval, n)
 	for i := range out {
-		iv, err := e.Interval(stateScore, baseRef, baseTest, cfg, nil)
+		iv, err := e.Interval(stateScore, baseRef, baseTest, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,10 +40,7 @@ func TestEstimatorStreamStateRoundTrip(t *testing.T) {
 	ref := NewSeededEstimator(424242)
 	stateIntervals(t, ref, 5) // advance mid-stream
 
-	st, err := ref.StreamState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := ref.StreamState()
 	if len(st.Shards) == 0 {
 		t.Fatal("expected materialized shards after intervals")
 	}
@@ -75,16 +72,13 @@ func TestEstimatorStreamStateRoundTrip(t *testing.T) {
 func TestEstimatorRestoreOntoWarm(t *testing.T) {
 	ref := NewSeededEstimator(7)
 	stateIntervals(t, ref, 3)
-	st, err := ref.StreamState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := ref.StreamState()
 
 	warm := NewSeededEstimator(1313)
 	// Materialize MORE shards than the snapshot has by running a larger
 	// replicate count.
 	base := []float64{0.5, 0.5}
-	if _, err := warm.Interval(stateScore, base, base, Config{Replicates: 150 * 4}, nil); err != nil {
+	if _, err := warm.Interval(stateScore, base, base, Config{Replicates: 150 * 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := warm.RestoreStreams(st); err != nil {
@@ -96,11 +90,5 @@ func TestEstimatorRestoreOntoWarm(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("interval %d after warm restore %+v != %+v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestStreamStatePerCallEstimatorErrors(t *testing.T) {
-	if _, err := NewEstimator().StreamState(); err == nil {
-		t.Fatal("expected error for per-call estimator")
 	}
 }

@@ -10,13 +10,13 @@ import (
 	"repro/internal/testutil"
 )
 
-func warmDetector(t testing.TB, workers int) (*Detector, []bag.Bag) {
+func warmDetector(t testing.TB) (*Detector, []bag.Bag) {
 	t.Helper()
 	rng := randx.New(6)
 	d, err := New(Config{
 		Tau: 5, TauPrime: 5,
 		Builder:   signature.NewHistogramBuilder(-5, 5, 40),
-		Bootstrap: bootstrap.Config{Replicates: 1000, Workers: workers},
+		Bootstrap: bootstrap.Config{Replicates: 1000},
 		Seed:      1,
 	})
 	if err != nil {
@@ -46,7 +46,7 @@ func TestDetectorBootstrapStageZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	d, _ := warmDetector(t, 1)
+	d, _ := warmDetector(t)
 	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := d.interval(); err != nil {
 			t.Fatal(err)
@@ -64,7 +64,7 @@ func TestDetectorPushSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	d, bags := warmDetector(t, 1)
+	d, bags := warmDetector(t)
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := d.Push(bags[i%len(bags)]); err != nil {
@@ -78,49 +78,5 @@ func TestDetectorPushSteadyStateAllocs(t *testing.T) {
 	// bootstrap buffers) must fail.
 	if allocs > 60 {
 		t.Errorf("steady-state Push: %g allocs/op, want <= 60 (signature build only)", allocs)
-	}
-}
-
-// TestDetectorOutputInvariantToBootstrapWorkers: the sharded bootstrap
-// must make detector output identical whatever Config.Bootstrap.Workers
-// is — parallelism is a pure throughput knob.
-func TestDetectorOutputInvariantToBootstrapWorkers(t *testing.T) {
-	run := func(workers int) []Point {
-		rng := randx.New(11)
-		cfg := Config{
-			Tau: 4, TauPrime: 4,
-			Builder:   signature.NewHistogramBuilder(-6, 6, 24),
-			Bootstrap: bootstrap.Config{Replicates: 400, Workers: workers},
-			Seed:      9,
-		}
-		seq := make(bag.Sequence, 20)
-		for ts := range seq {
-			mu := 0.0
-			if ts >= 10 {
-				mu = 3
-			}
-			vals := make([]float64, 80)
-			for i := range vals {
-				vals[i] = rng.Normal(mu, 1)
-			}
-			seq[ts] = bag.FromScalars(ts, vals)
-		}
-		pts, err := Run(cfg, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts
-	}
-	want := run(1)
-	for _, workers := range []int{2, 4, 8} {
-		got := run(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if !pointsEqual(got[i], want[i]) {
-				t.Fatalf("workers=%d: point %d %+v != %+v", workers, i, got[i], want[i])
-			}
-		}
 	}
 }

@@ -61,14 +61,10 @@ type Config struct {
 	// Ground is the EMD ground distance; nil selects Euclidean with the
 	// exact 1-D fast path.
 	Ground emd.Ground
-	// Bootstrap configures the confidence intervals (T replicates,
-	// significance level α, and worker parallelism). A zero Workers field
-	// evaluates the replicates serially on the pushing goroutine, with no
-	// per-inspection goroutines or allocations. Set Workers >= 2 to fan
-	// replicates across goroutines: the detector's score functions are
-	// pure, so they parallelize safely, and the sharded RNG streams make
-	// the result identical for a fixed Seed regardless of the worker
-	// count.
+	// Bootstrap configures the confidence intervals (T replicates and
+	// significance level α). The replicates run serially on the pushing
+	// goroutine, with no per-inspection goroutines or allocations; the
+	// shard streams are seeded from Seed.
 	Bootstrap bootstrap.Config
 	// LogFloor clamps distances before taking logs; 0 selects
 	// infoest.DefaultFloor.
@@ -129,6 +125,9 @@ func (c Config) validateCommon() error {
 	}
 	if c.TauPrime < 1 {
 		return fmt.Errorf("core: TauPrime must be >= 1, got %d", c.TauPrime)
+	}
+	if err := c.Bootstrap.Validate(); err != nil {
+		return err
 	}
 	stat, err := c.statistic()
 	if err != nil {
@@ -209,8 +208,7 @@ func New(cfg Config) (*Detector, error) {
 		solver:  emd.NewSolver(solverOpts...),
 		// Persistent shard streams seeded from Config.Seed: the detector
 		// pays no per-push reseeding cost and its output is a deterministic
-		// function of Seed and the pushed sequence, independent of the
-		// bootstrap worker count.
+		// function of Seed and the pushed sequence.
 		est: bootstrap.NewSeededEstimator(cfg.Seed),
 	}
 	// validate() already resolved the statistic; the second lookup here
@@ -401,9 +399,7 @@ func (d *Detector) interval() (bootstrap.Interval, error) {
 	if err := d.win.Validate(); err != nil {
 		return bootstrap.Interval{}, err
 	}
-	// The estimator is in persistent-stream mode (seeded from cfg.Seed at
-	// construction), so no caller RNG is involved.
-	return d.est.Interval(d.scoreFn, d.gRef, d.gTest, d.cfg.Bootstrap, nil)
+	return d.est.Interval(d.scoreFn, d.gRef, d.gTest, d.cfg.Bootstrap)
 }
 
 // inspect scores the current full window. The inspection time is

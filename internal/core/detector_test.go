@@ -50,6 +50,11 @@ func TestConfigValidation(t *testing.T) {
 		"noBuild": {Tau: 5, TauPrime: 5},
 		"lrTauP1": {Tau: 5, TauPrime: 1, Statistic: "lr", Builder: b},
 		"badStat": {Tau: 5, TauPrime: 5, Statistic: "nope", Builder: b},
+		"alphaNaN": {Tau: 5, TauPrime: 5, Builder: b,
+			Bootstrap: bootstrap.Config{Alpha: math.NaN()}},
+		"alphaOne": {Tau: 5, TauPrime: 5, Builder: b, Bootstrap: bootstrap.Config{Alpha: 1}},
+		"alphaNeg": {Tau: 5, TauPrime: 5, Builder: b, Bootstrap: bootstrap.Config{Alpha: -0.05}},
+		"repsNeg":  {Tau: 5, TauPrime: 5, Builder: b, Bootstrap: bootstrap.Config{Replicates: -5}},
 	}
 	for name, cfg := range cases {
 		if _, err := New(cfg); err == nil {

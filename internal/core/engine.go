@@ -24,11 +24,9 @@ type EngineConfig struct {
 	// Template holds the per-stream detector parameters (Tau, TauPrime,
 	// Statistic, Weighting, Ground, Bootstrap, LogFloor, RawMass). Its
 	// Builder field must be nil — per-stream builders come from Factory —
-	// and its Seed field is ignored in favour of the engine Seed. Leave
-	// Bootstrap.Workers zero (serial): the engine parallelizes across
-	// streams, so nesting per-detector bootstrap parallelism underneath
-	// would only oversubscribe the CPUs (the bootstrap result is
-	// bit-identical either way).
+	// and its Seed field is ignored in favour of the engine Seed. Each
+	// stream's bootstrap runs serially; the engine parallelizes across
+	// streams.
 	Template Config
 	// Factory builds each stream's signature builder from the stream's
 	// derived seed. Required.

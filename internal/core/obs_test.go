@@ -21,7 +21,7 @@ func TestDetectorPushInstrumentedAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	d, bags := warmDetector(t, 1)
+	d, bags := warmDetector(t)
 	d.SetObserver(obs.NewRegistry().PushStageObserver("kl"))
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
@@ -46,7 +46,7 @@ func TestDetectorOutputInvariantToObserver(t *testing.T) {
 		d, err := New(Config{
 			Tau: 4, TauPrime: 4,
 			Builder:   signature.NewHistogramBuilder(-6, 6, 24),
-			Bootstrap: bootstrap.Config{Replicates: 300, Workers: 1},
+			Bootstrap: bootstrap.Config{Replicates: 300},
 			Seed:      5,
 		})
 		if err != nil {
@@ -217,7 +217,7 @@ func TestStreamIntrospectClosed(t *testing.T) {
 // observability cost (stage clocks + histogram observes + solver stats
 // accumulation) on a real push.
 func BenchmarkDetectorPushInstrumented(b *testing.B) {
-	d, bags := warmDetector(b, 1)
+	d, bags := warmDetector(b)
 	d.SetObserver(obs.NewRegistry().PushStageObserver("kl"))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -123,15 +123,11 @@ type DetectorState struct {
 // Snapshot captures the detector's complete state. The detector can keep
 // running afterwards; the snapshot is a deep copy.
 func (d *Detector) Snapshot() (*DetectorState, error) {
-	bs, err := d.est.StreamState()
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot bootstrap streams: %w", err)
-	}
 	st := &DetectorState{
 		Count:     d.count,
 		Window:    make([]SignatureState, len(d.window)),
 		LogD:      make([][]float64, len(d.logD)),
-		Bootstrap: bs,
+		Bootstrap: d.est.StreamState(),
 	}
 	for i, sig := range d.window {
 		c := sig.Clone()

@@ -42,8 +42,8 @@ type Statistic interface {
 	// Bind returns the replicate score closure over win. The detector
 	// rebuilds *win in place before every inspection, and the bootstrap
 	// calls the closure once per replicate with freshly drawn weights —
-	// the closure must re-read *win on every call and be safe for
-	// concurrent calls (the bootstrap fans replicates across workers).
+	// the closure must re-read *win on every call. Calls come serially
+	// from the pushing goroutine.
 	Bind(win *infoest.Window) bootstrap.ScoreFunc
 }
 

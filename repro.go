@@ -287,9 +287,8 @@ func WithGround(g Ground) Option {
 }
 
 // WithBootstrap configures the Bayesian-bootstrap confidence intervals.
-// A zero Workers field evaluates replicates serially: inside an engine,
-// parallelism comes from fanning streams across the engine's workers,
-// and the bootstrap result is bit-identical regardless.
+// Each stream's replicates run serially; parallelism comes from fanning
+// streams across the engine's workers.
 func WithBootstrap(bc BootstrapConfig) Option {
 	return Option{func(c *core.EngineConfig) { c.Template.Bootstrap = bc }}
 }
