@@ -119,6 +119,12 @@ func main() {
 		return
 	}
 
+	if *k < 1 {
+		fatalf("-k must be >= 1, got %d", *k)
+	}
+	if *histBins < 0 {
+		fatalf("-hist-bins must be >= 0 (0 selects k-means), got %d", *histBins)
+	}
 	var factory repro.BuilderFactory
 	var builderTag string
 	if *histBins > 0 {
@@ -376,10 +382,10 @@ func readJSONLStreams(r io.Reader, eng *repro.Engine, batchSize int, emit func(s
 			Points [][]float64 `json:"points"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return fmt.Errorf("bagcpd: line %d: %w", lineNo, err)
+			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		if rec.Stream == "" {
-			return fmt.Errorf("bagcpd: line %d: missing stream id", lineNo)
+			return fmt.Errorf("line %d: missing stream id", lineNo)
 		}
 		buf = append(buf, repro.StreamBag{StreamID: rec.Stream, Bag: repro.NewBag(0, rec.Points)})
 		if len(buf) >= batchSize {
@@ -405,11 +411,11 @@ func readJSONL(r io.Reader, det *repro.Detector, emit func(*repro.Point)) error 
 		}
 		var points [][]float64
 		if err := json.Unmarshal([]byte(line), &points); err != nil {
-			return fmt.Errorf("bagcpd: line %d: %w", t+1, err)
+			return fmt.Errorf("line %d: %w", t+1, err)
 		}
 		p, err := det.Push(repro.NewBag(t, points))
 		if err != nil {
-			return fmt.Errorf("bagcpd: bag %d: %w", t, err)
+			return fmt.Errorf("bag %d: %w", t, err)
 		}
 		emit(p)
 		t++
@@ -428,7 +434,7 @@ func readCSV(r io.Reader, det *repro.Detector, emit func(*repro.Point)) error {
 		}
 		p, err := det.Push(repro.NewBag(curT, cur))
 		if err != nil {
-			return fmt.Errorf("bagcpd: bag %d: %w", curT, err)
+			return fmt.Errorf("bag %d: %w", curT, err)
 		}
 		emit(p)
 		cur = nil
@@ -443,23 +449,23 @@ func readCSV(r io.Reader, det *repro.Detector, emit func(*repro.Point)) error {
 		}
 		fields := strings.Split(line, ",")
 		if len(fields) < 2 {
-			return fmt.Errorf("bagcpd: line %d: need t,v1[,v2...]", lineNo)
+			return fmt.Errorf("line %d: need t,v1[,v2...]", lineNo)
 		}
 		t, err := strconv.Atoi(strings.TrimSpace(fields[0]))
 		if err != nil {
-			return fmt.Errorf("bagcpd: line %d: bad time %q", lineNo, fields[0])
+			return fmt.Errorf("line %d: bad time %q", lineNo, fields[0])
 		}
 		vec := make([]float64, len(fields)-1)
 		for i, f := range fields[1:] {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
-				return fmt.Errorf("bagcpd: line %d: bad value %q", lineNo, f)
+				return fmt.Errorf("line %d: bad value %q", lineNo, f)
 			}
 			vec[i] = v
 		}
 		if t != curT {
 			if t < curT {
-				return fmt.Errorf("bagcpd: line %d: time went backwards (%d after %d)", lineNo, t, curT)
+				return fmt.Errorf("line %d: time went backwards (%d after %d)", lineNo, t, curT)
 			}
 			if err := flush(); err != nil {
 				return err

@@ -3,6 +3,8 @@ package main
 import (
 	"errors"
 	"math"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -44,10 +46,24 @@ func TestReadJSONL(t *testing.T) {
 	}
 }
 
+// TestReadJSONLBadLine: a malformed line fails the run with exit 2 and
+// one error line that carries the "bagcpd: " prefix once.
 func TestReadJSONLBadLine(t *testing.T) {
 	err := readJSONL(strings.NewReader("not json\n"), testDetector(t), func(*repro.Point) {})
 	if err == nil {
 		t.Fatal("expected parse error")
+	}
+	cmd := exec.Command(os.Args[0], "-hist-lo", "-10", "-hist-hi", "10", "-hist-bins", "10")
+	cmd.Env = append(os.Environ(), "BAGCPD_SERVE_HELPER=1")
+	cmd.Stdin = strings.NewReader("not json\n")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+		t.Fatalf("bagcpd on a malformed line = %v, want exit status 2", err)
+	}
+	if got := stderr.String(); !strings.HasPrefix(got, "bagcpd: line 1: ") || strings.Count(got, "bagcpd:") != 1 {
+		t.Fatalf("stderr %q, want one line starting %q", got, "bagcpd: line 1: ")
 	}
 }
 

@@ -305,21 +305,33 @@ func TestServePoolMaxRequiresOplog(t *testing.T) {
 	}
 }
 
-// TestServeAlphaNaNRefused: an -alpha outside [0, 1) is a usage error
-// (exit 2) at startup, not a server that panics on the first interval
-// it computes. The timeout turns a server that starts anyway into a
+// TestServeInvalidFlagRefused: a detector flag out of its range is a
+// usage error (exit 2) at startup that names the flag — not a server
+// that panics on the first interval it computes (-alpha NaN), answers
+// every push with a row error (-k 0), or silently runs k-means
+// (-hist-bins -3). The timeout turns a server that starts anyway into a
 // failure instead of a hang.
-func TestServeAlphaNaNRefused(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], append(append([]string{}, serveArgs...), "-alpha", "NaN")...)
-	cmd.Env = append(os.Environ(), "BAGCPD_SERVE_HELPER=1")
-	out, err := cmd.CombinedOutput()
-	exit, ok := err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 2 {
-		t.Fatalf("bagcpd -serve -alpha NaN = %v, want exit status 2 (output %q)", err, out)
-	}
-	if !strings.Contains(string(out), "Alpha") {
-		t.Fatalf("error output %q does not name Alpha", out)
+func TestServeInvalidFlagRefused(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value, names string
+	}{
+		{"-alpha", "NaN", "Alpha"},
+		{"-k", "0", "-k"},
+		{"-hist-bins", "-3", "-hist-bins"},
+	} {
+		t.Run(tc.flag+" "+tc.value, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], append(append([]string{}, serveArgs...), tc.flag, tc.value)...)
+			cmd.Env = append(os.Environ(), "BAGCPD_SERVE_HELPER=1")
+			out, err := cmd.CombinedOutput()
+			exit, ok := err.(*exec.ExitError)
+			if !ok || exit.ExitCode() != 2 {
+				t.Fatalf("bagcpd -serve %s %s = %v, want exit status 2 (output %q)", tc.flag, tc.value, err, out)
+			}
+			if !strings.Contains(string(out), tc.names) {
+				t.Fatalf("error output %q does not name %s", out, tc.names)
+			}
+		})
 	}
 }

@@ -253,9 +253,6 @@ func (r *Router) handlePush(w http.ResponseWriter, req *http.Request) {
 		trace = mintTrace()
 	}
 
-	// The member's body cap: a batch the router accepts fits every member.
-	req.Body = http.MaxBytesReader(w, req.Body, server.DefaultMaxBatchBytes)
-
 	// Parse and validate the whole batch up front with the member
 	// server's decoder: a malformed line rejects the request before ANY
 	// sub-batch is forwarded, so a 400 always means "nothing was
@@ -267,7 +264,7 @@ func (r *Router) handlePush(w http.ResponseWriter, req *http.Request) {
 	var streams []string // per-row stream id, in input order
 	index := make(map[string]*memberBatch)
 	var batches []*memberBatch
-	err := server.DecodePushRows(req.Body, func(row server.PushRow, line []byte) error {
+	deal := func(row server.PushRow, line []byte) error {
 		owner := r.Owner(row.Stream)
 		mb, ok := index[owner]
 		if !ok {
@@ -280,7 +277,12 @@ func (r *Router) handlePush(w http.ResponseWriter, req *http.Request) {
 		mb.body.WriteByte('\n')
 		streams = append(streams, row.Stream)
 		return nil
-	})
+	}
+	// The member's body cap: a batch the router accepts fits every member.
+	body, err := server.ReadBody(w, req, server.DefaultMaxBatchBytes)
+	if err == nil {
+		err = server.DecodePushRows(body, deal)
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -1,23 +1,61 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/bag"
 	"repro/internal/core"
 )
 
-// FuzzReadRows drives the push decoder with arbitrary bodies, both as
-// the server reads them (rows, capped) and as the router does (raw
-// lines, uncapped). It must never panic; whenever the server accepts a
-// body every row must address a stream and carry a non-empty,
-// rectangular, finite bag, with no more rows than the batch cap; and
-// the router's view must agree: same verdict below the cap, and one
-// raw line per row that decodes back to that row's stream.
+// referenceDecode is the push decoder without the row scanner: every
+// line through json.Unmarshal, then the stream, bag and Validate checks.
+// FuzzReadRows holds DecodePushRows to it.
+func referenceDecode(body string) ([]PushRow, error) {
+	sc := bufio.NewScanner(strings.NewReader(body))
+	sc.Buffer(nil, 1<<26)
+	var rows []PushRow
+	line := 0
+	for sc.Scan() {
+		line++
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
+			continue
+		}
+		var row PushRow
+		if err := json.Unmarshal(text, &row); err != nil {
+			return nil, fmt.Errorf("line %d: %v", line, err)
+		}
+		if row.Stream == "" {
+			return nil, fmt.Errorf("line %d: missing stream id", line)
+		}
+		if len(row.Bag) == 0 {
+			return nil, fmt.Errorf("line %d: empty bag", line)
+		}
+		if err := (bag.Bag{Points: row.Bag}).Validate(); err != nil {
+			return nil, fmt.Errorf("line %d: %v", line, err)
+		}
+		rows = append(rows, row)
+	}
+	return rows, sc.Err()
+}
+
+// FuzzReadRows is a differential test of the push decoder against
+// referenceDecode: every body must get the same verdict and the same
+// error string, and an accepted body the same stream ids and the same
+// coordinate bits, nil versus empty included. The server's row cap must
+// refuse exactly the bodies with too many rows, and each raw line the
+// router forwards must decode back to its row's stream. Run it
+// continuously with:
+//
+//	go test -run='^$' -fuzz=FuzzReadRows ./internal/server
 func FuzzReadRows(f *testing.F) {
 	for _, seed := range []string{
 		`{"stream":"a","bag":[[1.5],[2]]}` + "\n",
@@ -31,53 +69,81 @@ func FuzzReadRows(f *testing.F) {
 		`{"stream":"a","bag":[["x"]]}`,
 		`{"stream":"a","bag":[[1]]}` + strings.Repeat("\n"+`{"stream":"a","bag":[[1]]}`, 8),
 		`{"stream":"a"`,
+		// Key orders the scanner leaves to encoding/json.
+		`{"bag":[[1]],"stream":"a"}`,
+		`{"STREAM":"a","bag":[[1]]}`,
+		`{"stream":"a","bag":[[1]],"stream":"b"}`,
+		`{"stream":"a","stream":"b","bag":[[1]]}`,
+		`{"stream":"a","bag":[[1]],"bag":[[2,3]]}`,
+		// Stream ids outside printable ASCII, escaped or raw.
+		`{"stream":"s\u00e9","bag":[[1]]}`,
+		`{"stream":"sé","bag":[[1]]}`,
+		`{"stream":"a\"b","bag":[[1]]}`,
+		// Values.
+		`{"stream":"a","bag":null}`,
+		`{"stream":"a","bag":[[]]}`,
+		`{"stream":"a","bag":[[-0],[0]]}`,
+		`{"stream":"a","bag":[[1e-400]]}`,
+		`{"stream":"a","bag":[[1.7976931348623158e308]]}`,
+		`{"stream":"a","bag":[[1.7976931348623159e308]]}`,
+		`{"stream":"a","bag":[[01]]}`,
+		`{"stream":"a","bag":[[+1]]}`,
+		`{"stream":"a","bag":[[.5]]}`,
+		`{"stream":"a","bag":[[1.]]}`,
+		`{"stream":"a","bag":[[1E+2,-2.5e-3]]}`,
+		// Layout.
+		" \t{ \"stream\" : \"a\" , \"bag\" : [ [ 1 , 2 ] , [ 3 , 4 ] ] } \r\n",
+		`{"stream":"a","bag":[[1]]}x`,
+		`{"stream":"a","bag":[[1]]}}`,
+		`{"stream":"a","bag":[[1]]} {}`,
 	} {
 		f.Add(seed)
 	}
 	const maxBags = 4
 	s := &Server{cfg: Config{MaxBatchBags: maxBags}}
 	f.Fuzz(func(t *testing.T, body string) {
-		rows, err := s.readRows(strings.NewReader(body))
+		want, wantErr := referenceDecode(body)
+		var got []PushRow
 		var lines []string
-		rerr := DecodePushRows(strings.NewReader(body), func(_ PushRow, line []byte) error {
+		err := DecodePushRows([]byte(body), func(row PushRow, line []byte) error {
+			got = append(got, row)
 			lines = append(lines, string(line))
 			return nil
 		})
-		if (rerr == nil) != (err == nil) && len(lines) <= maxBags {
-			t.Fatalf("router decode error %v, server decode error %v", rerr, err)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("decode error %v, encoding/json gives %v", err, wantErr)
 		}
 		if err != nil {
 			return
 		}
-		if len(lines) != len(rows) {
-			t.Fatalf("router kept %d lines for %d rows", len(lines), len(rows))
+		if len(got) != len(want) {
+			t.Fatalf("decoded %d rows, encoding/json gives %d", len(got), len(want))
 		}
-		for i, line := range lines {
-			var row PushRow
-			if err := json.Unmarshal([]byte(line), &row); err != nil || row.Stream != rows[i].Stream {
-				t.Fatalf("raw line %d %q does not decode to stream %q (%v)", i, line, rows[i].Stream, err)
+		for i, row := range got {
+			if row.Stream != want[i].Stream {
+				t.Fatalf("row %d: stream %q, encoding/json gives %q", i, row.Stream, want[i].Stream)
 			}
-		}
-		if len(rows) > maxBags {
-			t.Fatalf("accepted %d rows, cap is %d", len(rows), maxBags)
-		}
-		for i, row := range rows {
-			if row.Stream == "" {
-				t.Fatalf("row %d: empty stream id accepted", i)
-			}
-			if len(row.Bag) == 0 {
-				t.Fatalf("row %d: empty bag accepted", i)
+			if len(row.Bag) != len(want[i].Bag) || (row.Bag == nil) != (want[i].Bag == nil) {
+				t.Fatalf("row %d: bag %v, encoding/json gives %v", i, row.Bag, want[i].Bag)
 			}
 			for j, p := range row.Bag {
-				if len(p) != len(row.Bag[0]) {
-					t.Fatalf("row %d: ragged bag accepted (point %d has dim %d, point 0 has %d)", i, j, len(p), len(row.Bag[0]))
+				q := want[i].Bag[j]
+				if len(p) != len(q) || (p == nil) != (q == nil) {
+					t.Fatalf("row %d point %d: %v, encoding/json gives %v", i, j, p, q)
 				}
-				for _, v := range p {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Fatalf("row %d: non-finite coordinate %g accepted", i, v)
+				for k := range p {
+					if math.Float64bits(p[k]) != math.Float64bits(q[k]) {
+						t.Fatalf("row %d point %d coordinate %d: %v, encoding/json gives %v", i, j, k, p[k], q[k])
 					}
 				}
 			}
+			var back PushRow
+			if err := json.Unmarshal([]byte(lines[i]), &back); err != nil || back.Stream != row.Stream {
+				t.Fatalf("raw line %d %q does not decode to stream %q (%v)", i, lines[i], row.Stream, err)
+			}
+		}
+		if _, err := s.readRows([]byte(body)); (err != nil) != (len(want) > maxBags) {
+			t.Fatalf("server decode of %d rows with a cap of %d: error %v", len(want), maxBags, err)
 		}
 	})
 }

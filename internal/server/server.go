@@ -61,11 +61,9 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -288,12 +286,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// PushRow is one NDJSON ingest row of POST /v1/push.
-type PushRow struct {
-	Stream string      `json:"stream"`
-	Bag    [][]float64 `json:"bag"`
-}
-
 // resultRow is one NDJSON response row, parallel to the input row.
 // BagT is the index at which the engine applied the bag (for an error
 // row, the index a retry will take); scored rows carry the inspection
@@ -339,8 +331,11 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	// rejects the request instead of half-applying it. The body is
 	// byte-capped — the row cap alone would let one request buffer
 	// unbounded memory before any limit trips.
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
-	rows, err := s.readRows(r.Body)
+	body, err := ReadBody(w, r, s.cfg.MaxBatchBytes)
+	var rows []PushRow
+	if err == nil {
+		rows, err = s.readRows(body)
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -498,7 +493,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 }
 
 // readRows parses a push body into at most MaxBatchBags rows.
-func (s *Server) readRows(body io.Reader) ([]PushRow, error) {
+func (s *Server) readRows(body []byte) ([]PushRow, error) {
 	var rows []PushRow
 	err := DecodePushRows(body, func(row PushRow, _ []byte) error {
 		rows = append(rows, row)
@@ -511,57 +506,6 @@ func (s *Server) readRows(body io.Reader) ([]PushRow, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// DecodePushRows is the NDJSON push-row decoder the server and the
-// router share. Blank lines are skipped; any other line must parse, name
-// a stream and carry a non-empty valid bag, or decoding stops with a
-// "line N: ..." error. fn sees each accepted row with its trimmed line,
-// which aliases the read buffer and is valid only during the call; an
-// error from fn stops decoding and is returned as is. A read error —
-// the body's byte cap truncating the last line mid-token — is returned
-// wrapped ("reading body: %w"), even when the truncated tail also
-// failed to parse: the truncation is the real failure.
-func DecodePushRows(body io.Reader, fn func(row PushRow, line []byte) error) error {
-	sc := bufio.NewScanner(body)
-	// Grow from bufio's 4 KiB default: a preallocated large buffer
-	// would cost every request, most of whose lines are short.
-	sc.Buffer(nil, 1<<26)
-	lineErr := func(line int, err error) error {
-		if scErr := sc.Err(); scErr != nil {
-			return fmt.Errorf("reading body: %w", scErr)
-		}
-		return fmt.Errorf("line %d: %v", line, err)
-	}
-	var row PushRow // reused: decoding into it escapes, so one allocation per body
-	line := 0
-	for sc.Scan() {
-		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		row = PushRow{}
-		if err := json.Unmarshal(text, &row); err != nil {
-			return lineErr(line, err)
-		}
-		if row.Stream == "" {
-			return lineErr(line, errors.New("missing stream id"))
-		}
-		if len(row.Bag) == 0 {
-			return lineErr(line, errors.New("empty bag"))
-		}
-		if err := (bag.Bag{Points: row.Bag}).Validate(); err != nil {
-			return lineErr(line, err)
-		}
-		if err := fn(row, text); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("reading body: %w", err)
-	}
-	return nil
 }
 
 // streamInfo is one row of GET /v1/streams.

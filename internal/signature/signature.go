@@ -329,6 +329,7 @@ func (hb *HistogramBuilder) Build(b bag.Bag) (Signature, error) {
 	}
 	width := (hb.Hi - hb.Lo) / float64(hb.Bins)
 	counts := make([]float64, hb.Bins)
+	occupied := 0
 	for _, p := range b.Points {
 		idx := int((p[0] - hb.Lo) / width)
 		if idx < 0 {
@@ -337,16 +338,27 @@ func (hb *HistogramBuilder) Build(b bag.Bag) (Signature, error) {
 		if idx >= hb.Bins {
 			idx = hb.Bins - 1
 		}
+		if counts[idx] == 0 {
+			occupied++
+		}
 		counts[idx]++
 	}
-	var s Signature
+	// One backing array for every 1-D center, each a capacity-capped
+	// view of it, so the signature costs four allocations at any size.
+	mids := make([]float64, occupied)
+	s := Signature{
+		Centers: make([][]float64, occupied),
+		Weights: make([]float64, occupied),
+	}
+	k := 0
 	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
-		mid := hb.Lo + (float64(i)+0.5)*width
-		s.Centers = append(s.Centers, []float64{mid})
-		s.Weights = append(s.Weights, c)
+		mids[k] = hb.Lo + (float64(i)+0.5)*width
+		s.Centers[k] = mids[k : k+1 : k+1]
+		s.Weights[k] = c
+		k++
 	}
 	return s, nil
 }

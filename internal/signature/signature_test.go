@@ -177,6 +177,29 @@ func TestHistogramBuilder(t *testing.T) {
 	}
 }
 
+// TestHistogramBuildAllocs: a histogram signature costs at most four
+// allocations — the bin counts, one backing array for the centers, the
+// center headers and the weights — however many bins are occupied.
+func TestHistogramBuildAllocs(t *testing.T) {
+	const bins = 40
+	hb := NewHistogramBuilder(0, bins, bins)
+	for _, occupied := range []int{1, 8, bins} {
+		vals := make([]float64, 50)
+		for i := range vals {
+			vals[i] = float64(i%occupied) + 0.5
+		}
+		b := bag.FromScalars(0, vals)
+		var s Signature
+		allocs := testing.AllocsPerRun(50, func() { s, _ = hb.Build(b) })
+		if s.Len() != occupied {
+			t.Fatalf("%d occupied bins, want %d", s.Len(), occupied)
+		}
+		if allocs > 4 {
+			t.Errorf("%d occupied bins: %v allocations per Build, want at most 4", occupied, allocs)
+		}
+	}
+}
+
 func TestHistogramBuilderRejectsMultiDim(t *testing.T) {
 	hb := NewHistogramBuilder(0, 1, 2)
 	if _, err := hb.Build(bag.New(0, [][]float64{{1, 2}})); err == nil {
