@@ -282,6 +282,42 @@ func BenchmarkDetectorPush(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectorPushKMeans measures a steady-state push in the
+// bagbench serve-kmeans shape: 3-D bags of 120 points, K=16 k-means
+// signatures, Euclidean simplex EMD, τ=τ′=4, T=100, default cost-cache
+// setting.
+func BenchmarkDetectorPushKMeans(b *testing.B) {
+	rng := randx.New(6)
+	det, err := NewDetector(Config{
+		Tau: 4, TauPrime: 4,
+		Builder:   KMeansFactory(16)(11),
+		Bootstrap: BootstrapConfig{Replicates: 100},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bags := make([]Bag, 64)
+	for t := range bags {
+		pts := make([][]float64, 120)
+		for i := range pts {
+			pts[i] = rng.NormalVec(3, 0, 1)
+		}
+		bags[t] = bag.New(t, pts)
+	}
+	for t := 0; t < 16; t++ { // warm the window
+		if _, err := det.Push(bags[t%len(bags)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := det.Push(bags[i%len(bags)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDetectorPushHistogram is the ground-cost cache's acceptance
 // benchmark: a histogram builder emits bit-identical supports (bin
 // midpoints) for every bag, so one cache entry serves all τ+τ′−1 EMDs
@@ -329,13 +365,13 @@ func BenchmarkDetectorPushHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorPushMixedSupport bounds the default-on cost of the
-// ground-cost cache on its adversarial workload: a k-means builder emits
-// a distinct support set per bag, so the window's τ+τ′−1 solves per push
-// compete for DefaultCostCacheSlots LRU slots with a near-zero hit rate
-// while every solve still pays the support hash and slot scan.
-// BENCH_PR6.json records cache vs nocache; heterogeneous-support streams
-// that find the gap measurable should set EMDCostCacheSlots < 0.
+// BenchmarkDetectorPushMixedSupport measures the cost cache on its
+// adversarial workload: a k-means builder emits a distinct support set
+// per bag, so the window's τ+τ′−1 solves per push never hit. Since the
+// default (slots 0) attaches a cache only for fixed-support builders,
+// both rows run without one: "/cache" measures the default and
+// "/nocache" the explicit off switch. BENCH_PR6.json recorded the gap
+// when the default still cached every builder.
 func BenchmarkDetectorPushMixedSupport(b *testing.B) {
 	for _, tc := range []struct {
 		name  string

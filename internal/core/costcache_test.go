@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bootstrap"
+	"repro/internal/cluster"
 	"repro/internal/emd"
 	"repro/internal/randx"
 	"repro/internal/signature"
@@ -88,6 +89,44 @@ func TestPairwiseCostCacheBitIdentity(t *testing.T) {
 				t.Fatalf("cached tile=%d workers=%d: %v", tile, workers, err)
 			}
 			assertMatrixEqualsRef(t, "cached vs uncached", m, ref.Rows())
+		}
+	}
+}
+
+// TestDetectorCostCacheDefault: under the default EMDCostCacheSlots = 0
+// the detector attaches a cache only for a fixed-support builder; a
+// positive value attaches that many slots and a negative one none,
+// whatever the builder.
+func TestDetectorCostCacheDefault(t *testing.T) {
+	hist := signature.NewHistogramBuilder(-4, 4, 16)
+	kmeans := signature.KMeansFactory(4, cluster.Config{})(1)
+	for _, tc := range []struct {
+		name    string
+		builder signature.Builder
+		slots   int
+		want    int // attached slots, 0 for none
+	}{
+		{"hist/default", hist, 0, emd.DefaultCostCacheSlots},
+		{"kmeans/default", kmeans, 0, 0},
+		{"hist/off", hist, -1, 0},
+		{"kmeans/on", kmeans, 2, 2},
+		{"kmeans/off", kmeans, -1, 0},
+	} {
+		d, err := New(Config{
+			Tau: 2, TauPrime: 2,
+			Builder:           tc.builder,
+			Bootstrap:         bootstrap.Config{Replicates: 10},
+			EMDCostCacheSlots: tc.slots,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		if cc := d.solver.CostCache(); cc != nil {
+			got = cc.Slots()
+		}
+		if got != tc.want {
+			t.Errorf("%s: %d cache slots attached, want %d", tc.name, got, tc.want)
 		}
 	}
 }

@@ -75,21 +75,20 @@ type Config struct {
 	// EMD a proper metric between the bag distributions and is the
 	// behaviour used for all reproduced experiments.
 	RawMass bool
-	// EMDCostCacheSlots sizes the detector's ground-cost cache: the w−1
-	// EMD solves per push share the incoming signature's cost rows, and
-	// stable-support builders (histogram, grid) share one matrix across
-	// every push. 0 selects emd.DefaultCostCacheSlots, a positive value
-	// is the slot count, and a negative value disables caching.
-	// Clustering builders (k-means, k-medoids, online) emit a distinct
-	// support set per bag, so the window's pairs overwhelm the default
-	// slots and hits are rare while every solve still pays the support
-	// hash; streams where that overhead is measurable (see
-	// BenchmarkDetectorPushMixedSupport) should set this negative. This
-	// knob is deliberately NOT part of the snapshot fingerprint: the
-	// cache is bit-transparent (stored costs are the exact floats the
-	// ground function returned and the solver replays the identical
-	// comparison sequence), so scores are the same bits with the cache
-	// on or off.
+	// EMDCostCacheSlots sizes the detector's ground-cost cache, which
+	// lets repeated support pairs skip their ground evaluations. Only
+	// builders with a fixed support (signature.FixedSupport: histogram,
+	// grid) repeat supports across pushes, so 0, the default, attaches
+	// emd.DefaultCostCacheSlots slots for them and no cache for any
+	// other builder: clustering builders (k-means, k-medoids, online)
+	// emit a new support set per bag, and a cache over them never hits
+	// yet holds K² costs per slot. A positive value attaches that many
+	// slots whatever the builder, and a negative value disables the
+	// cache. This knob is deliberately NOT part of the snapshot
+	// fingerprint: the cache is bit-transparent (stored costs are the
+	// exact floats the ground function returned and the solver replays
+	// the identical comparison sequence), so scores are the same bits
+	// with the cache on or off.
 	EMDCostCacheSlots int
 	// Seed drives the bootstrap resampling (and nothing else).
 	Seed int64
@@ -199,8 +198,8 @@ func New(cfg Config) (*Detector, error) {
 		return nil, err
 	}
 	var solverOpts []emd.SolverOption
-	if cfg.EMDCostCacheSlots >= 0 {
-		solverOpts = append(solverOpts, emd.WithCostCache(cfg.EMDCostCacheSlots))
+	if slots := cfg.costCacheSlots(); slots > 0 {
+		solverOpts = append(solverOpts, emd.WithCostCache(slots))
 	}
 	d := &Detector{
 		cfg:     cfg,
@@ -230,6 +229,22 @@ func New(cfg Config) (*Detector, error) {
 	// row has length τ+τ′.
 	d.logD = make([][]float64, 0, cfg.Tau+cfg.TauPrime)
 	return d, nil
+}
+
+// costCacheSlots resolves EMDCostCacheSlots against the Builder into
+// the number of cost-cache slots the detector's solver gets, 0 for no
+// cache.
+func (c Config) costCacheSlots() int {
+	switch {
+	case c.EMDCostCacheSlots > 0:
+		return c.EMDCostCacheSlots
+	case c.EMDCostCacheSlots < 0:
+		return 0
+	}
+	if fs, ok := c.Builder.(signature.FixedSupport); ok && fs.FixedSupport() {
+		return emd.DefaultCostCacheSlots
+	}
+	return 0
 }
 
 // WindowSize returns τ+τ′, the number of bags the detector retains.
@@ -348,15 +363,9 @@ func (d *Detector) Push(b bag.Bag) (*Point, error) {
 	row[len(row)-1] = 0 // self-distance slot; the diagonal is ignored
 	var delta obs.SolveDelta
 	for i, s := range d.window {
-		var dist float64
-		if d.cfg.EMDCostCacheSlots >= 0 {
-			// Cached entry point: the w−1 solves of this push share the
-			// incoming signature's cost rows, and stable-support builders
-			// hit one matrix across every push. Bit-identical to Distance.
-			dist, err = d.solver.DistanceCached(s, sig, d.cfg.Ground)
-		} else {
-			dist, err = d.solver.Distance(s, sig, d.cfg.Ground)
-		}
+		// Distance consults the cost cache New attached, if any: a
+		// fixed-support builder's pushes all hit one cached matrix.
+		dist, err := d.solver.Distance(s, sig, d.cfg.Ground)
 		if err != nil {
 			return nil, fmt.Errorf("core: EMD between bags %d and %d: %w", d.count-len(d.window)+i, d.count, err)
 		}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bag"
 	"repro/internal/bootstrap"
+	"repro/internal/cluster"
 	"repro/internal/randx"
 	"repro/internal/signature"
 )
@@ -34,17 +35,23 @@ var updateGolden = flag.Bool("update", false, "rewrite golden test fixtures inst
 // round-trip exactly and make the fixture diffable; Kappa is "NaN"
 // until the first comparable interval exists.
 
-// goldenTraces enumerates one frozen fixture per statistic. Statistic
-// "" is the legacy KL fixture (predating the statistic layer — its
-// bytes must stay untouched, so its header carries no statistic field
-// and the run configures the detector exactly as the seed did).
+// goldenTraces enumerates the frozen fixtures: one per statistic on the
+// 1-D histogram workload, and one k-means trace that pins the k-means++
+// and Lloyd bits and the simplex EMD (3-D signatures never take the 1-D
+// closed form). Statistic "" is the legacy KL fixture (predating the
+// statistic layer — its bytes must stay untouched, so its header
+// carries no statistic field and the run configures the detector
+// exactly as the seed did).
 var goldenTraces = []struct {
 	name      string
 	path      string
 	statistic string
+	kmeans    bool // 3-D k-means workload instead of the 1-D histogram one
+	changes   []int
 }{
-	{name: "kl", path: "testdata/golden_detector_trace.json", statistic: ""},
-	{name: "lr", path: "testdata/golden_detector_trace_lr.json", statistic: "lr"},
+	{name: "kl", path: "testdata/golden_detector_trace.json", changes: []int{60, 130}},
+	{name: "lr", path: "testdata/golden_detector_trace_lr.json", statistic: "lr", changes: []int{60, 130}},
+	{name: "kmeans", path: "testdata/golden_detector_trace_kmeans.json", kmeans: true, changes: []int{40, 80}},
 }
 
 type goldenPoint struct {
@@ -66,8 +73,11 @@ type goldenTrace struct {
 	Replicates  int    `json:"replicates"`
 	// Statistic is the registry name the trace was run under; empty in
 	// the legacy KL fixture, which predates the statistic layer.
-	Statistic string        `json:"statistic,omitempty"`
-	Points    []goldenPoint `json:"points"`
+	Statistic string `json:"statistic,omitempty"`
+	// Builder names the signature builder when it is not the legacy
+	// 1-D histogram.
+	Builder string        `json:"builder,omitempty"`
+	Points  []goldenPoint `json:"points"`
 }
 
 func hexFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
@@ -105,26 +115,80 @@ func goldenConfig() Config {
 	}
 }
 
-func runGoldenTrace(t *testing.T, statistic string) goldenTrace {
-	t.Helper()
-	cfg := goldenConfig()
-	cfg.Statistic = statistic
-	points, err := Run(cfg, goldenSequence())
-	if err != nil {
-		t.Fatalf("golden run: %v", err)
+// goldenKMeansSequence generates the frozen k-means workload: 120 3-D
+// Gaussian bags of 120 points (the serve-kmeans shape), mean shifts at
+// t=40 (0→(2,0,0)) and t=80 (→(2,2,−1)). Two bags in every seven are
+// duplicate-heavy: one keeps only the 8 corners μ±1 (fewer distinct
+// points than K, so k-means++ seeding stops at 8 centers), the other
+// rounds to
+// the integer lattice.
+func goldenKMeansSequence() bag.Sequence {
+	rng := randx.New(86420)
+	seq := make(bag.Sequence, 120)
+	for t := range seq {
+		mu := [3]float64{}
+		switch {
+		case t >= 80:
+			mu = [3]float64{2, 2, -1}
+		case t >= 40:
+			mu = [3]float64{2, 0, 0}
+		}
+		pts := make([][]float64, 120)
+		for i := range pts {
+			p := make([]float64, 3)
+			for j := range p {
+				p[j] = rng.Normal(mu[j], 1)
+				switch t % 7 {
+				case 3:
+					p[j] = mu[j] + math.Copysign(1, p[j]-mu[j])
+				case 5:
+					p[j] = math.Round(p[j])
+				}
+			}
+			pts[i] = p
+		}
+		seq[t] = bag.Bag{T: t, Points: pts}
 	}
+	return seq
+}
+
+func goldenKMeansConfig() Config {
+	return Config{
+		Tau:       4,
+		TauPrime:  4,
+		Builder:   signature.KMeansFactory(16, cluster.Config{})(31337),
+		Bootstrap: bootstrap.Config{Replicates: 100, Alpha: 0.05},
+		Seed:      20261019,
+	}
+}
+
+func runGoldenTrace(t *testing.T, statistic string, kmeans bool) goldenTrace {
+	t.Helper()
+	cfg, seq := goldenConfig(), goldenSequence()
 	desc := "frozen detector run: 200 1-D Gaussian bags, mean shifts at t=60 and t=130; asserts bit-identical scores/intervals on every run (floats are exact hex; regenerate with -update)"
 	if statistic != "" {
 		desc = "frozen " + statistic + " detector run: 200 1-D Gaussian bags, mean shifts at t=60 and t=130; asserts bit-identical scores/intervals on every run (floats are exact hex; regenerate with -update)"
 	}
+	builder := ""
+	if kmeans {
+		cfg, seq = goldenKMeansConfig(), goldenKMeansSequence()
+		desc = "frozen k-means detector run: 120 3-D Gaussian bags of 120 points, K=16 k-means signatures, Euclidean simplex EMD, mean shifts at t=40 and t=80; asserts bit-identical scores/intervals on every run (floats are exact hex; regenerate with -update)"
+		builder = "kmeans16"
+	}
+	cfg.Statistic = statistic
+	points, err := Run(cfg, seq)
+	if err != nil {
+		t.Fatalf("golden run: %v", err)
+	}
 	tr := goldenTrace{
 		Description: desc,
 		Seed:        cfg.Seed,
-		Bags:        200,
+		Bags:        len(seq),
 		Tau:         cfg.Tau,
 		TauPrime:    cfg.TauPrime,
 		Replicates:  cfg.Bootstrap.Replicates,
 		Statistic:   statistic,
+		Builder:     builder,
 	}
 	for _, p := range points {
 		tr.Points = append(tr.Points, goldenPoint{
@@ -142,12 +206,12 @@ func runGoldenTrace(t *testing.T, statistic string) goldenTrace {
 
 func TestGoldenDetectorTrace(t *testing.T) {
 	for _, tc := range goldenTraces {
-		t.Run(tc.name, func(t *testing.T) { checkGoldenTrace(t, tc.path, tc.statistic) })
+		t.Run(tc.name, func(t *testing.T) { checkGoldenTrace(t, tc.path, tc.statistic, tc.kmeans) })
 	}
 }
 
-func checkGoldenTrace(t *testing.T, path, statistic string) {
-	got := runGoldenTrace(t, statistic)
+func checkGoldenTrace(t *testing.T, path, statistic string, kmeans bool) {
+	got := runGoldenTrace(t, statistic, kmeans)
 
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
@@ -174,7 +238,7 @@ func checkGoldenTrace(t *testing.T, path, statistic string) {
 	}
 	if want.Seed != got.Seed || want.Bags != got.Bags || want.Tau != got.Tau ||
 		want.TauPrime != got.TauPrime || want.Replicates != got.Replicates ||
-		want.Statistic != got.Statistic {
+		want.Statistic != got.Statistic || want.Builder != got.Builder {
 		t.Fatalf("golden fixture header %+v does not describe this test's configuration; regenerate with -update", want)
 	}
 	if len(want.Points) != len(got.Points) {
@@ -219,7 +283,7 @@ func checkGoldenTrace(t *testing.T, path, statistic string) {
 func TestGoldenTraceHasSignal(t *testing.T) {
 	for _, tc := range goldenTraces {
 		t.Run(tc.name, func(t *testing.T) {
-			got := runGoldenTrace(t, tc.statistic)
+			got := runGoldenTrace(t, tc.statistic, tc.kmeans)
 			alarmNear := func(c int) bool {
 				for _, p := range got.Points {
 					if p.Alarm && p.T >= c-3 && p.T <= c+8 {
@@ -228,8 +292,10 @@ func TestGoldenTraceHasSignal(t *testing.T) {
 				}
 				return false
 			}
-			if !alarmNear(60) || !alarmNear(130) {
-				t.Fatalf("golden run no longer alarms near both injected changes (t=60, t=130)")
+			for _, c := range tc.changes {
+				if !alarmNear(c) {
+					t.Fatalf("golden run no longer alarms near the injected change at t=%d", c)
+				}
 			}
 			nan := 0
 			for _, p := range got.Points {

@@ -9,6 +9,7 @@ package signature
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/bag"
 	"repro/internal/cluster"
@@ -153,6 +154,19 @@ type RNGSnapshotter interface {
 	RestoreRNGState(st randx.State) error
 }
 
+// FixedSupport is implemented by builders whose signatures always take
+// their centers from one fixed set (the histogram's bin midpoints, the
+// grid's cell centers), so the ground costs between any two of their
+// signatures repeat from bag to bag. A detector attaches its ground-cost
+// cache by default only to such builders: clustering builders (k-means,
+// k-medoids, online) place new centers on every bag, and a cache over
+// them never hits.
+type FixedSupport interface {
+	// FixedSupport reports whether every signature's centers come from
+	// the builder's fixed set.
+	FixedSupport() bool
+}
+
 // KMeansFactory returns a factory of independently seeded k-means
 // builders: factory(seed) behaves exactly like
 // NewKMeansBuilder(k, cfg, randx.NewFast(seed)), so its RNG position is
@@ -206,16 +220,35 @@ func NewKMeansBuilder(k int, cfg cluster.Config, rng *randx.RNG) *KMeansBuilder 
 	return &KMeansBuilder{k: k, cfg: cfg, rng: rng}
 }
 
-// Build implements Builder.
+// workspacePool lends k-means scratch to Build calls. One Workspace per
+// builder would keep its buffers alive for every idle stream; renting
+// keeps only as many as there are concurrent Builds.
+var workspacePool = sync.Pool{New: func() any { return new(cluster.Workspace) }}
+
+// Build implements Builder. It clusters on a pooled cluster.Workspace
+// and copies the centers into one backing array, each center a
+// capacity-capped view of it, so a signature costs three allocations.
 func (kb *KMeansBuilder) Build(b bag.Bag) (Signature, error) {
 	if b.Len() == 0 {
 		return Signature{}, fmt.Errorf("signature: cannot summarize empty bag (t=%d)", b.T)
 	}
-	res, err := cluster.KMeans(b.Points, kb.k, kb.cfg, kb.rng)
-	if err != nil {
+	ws := workspacePool.Get().(*cluster.Workspace)
+	defer workspacePool.Put(ws)
+	if err := ws.KMeans(b.Points, kb.k, kb.cfg, kb.rng); err != nil {
 		return Signature{}, err
 	}
-	return fromClusterResult(res), nil
+	k, d := len(ws.Counts), ws.Dim
+	flat := make([]float64, k*d)
+	copy(flat, ws.Centers)
+	s := Signature{
+		Centers: make([][]float64, k),
+		Weights: make([]float64, k),
+	}
+	for c := range s.Centers {
+		s.Centers[c] = flat[c*d : (c+1)*d : (c+1)*d]
+		s.Weights[c] = float64(ws.Counts[c])
+	}
+	return s, nil
 }
 
 // Reseed rewinds the builder's RNG to the stream its backend produces
@@ -319,6 +352,9 @@ func NewHistogramBuilder(lo, hi float64, bins int) *HistogramBuilder {
 	return &HistogramBuilder{Lo: lo, Hi: hi, Bins: bins}
 }
 
+// FixedSupport implements FixedSupport: every center is a bin midpoint.
+func (hb *HistogramBuilder) FixedSupport() bool { return true }
+
 // Build implements Builder for 1-D bags.
 func (hb *HistogramBuilder) Build(b bag.Bag) (Signature, error) {
 	if b.Len() == 0 {
@@ -384,6 +420,9 @@ func NewGridBuilder(lo, hi []float64, bins int) *GridBuilder {
 	}
 	return &GridBuilder{Lo: vec.Clone(lo), Hi: vec.Clone(hi), Bins: bins}
 }
+
+// FixedSupport implements FixedSupport: every center is a cell center.
+func (gb *GridBuilder) FixedSupport() bool { return true }
 
 // Build implements Builder.
 func (gb *GridBuilder) Build(b bag.Bag) (Signature, error) {

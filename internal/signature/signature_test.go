@@ -7,6 +7,7 @@ import (
 	"repro/internal/bag"
 	"repro/internal/cluster"
 	"repro/internal/randx"
+	"repro/internal/testutil"
 )
 
 func TestSignatureValidate(t *testing.T) {
@@ -196,6 +197,96 @@ func TestHistogramBuildAllocs(t *testing.T) {
 		}
 		if allocs > 4 {
 			t.Errorf("%d occupied bins: %v allocations per Build, want at most 4", occupied, allocs)
+		}
+	}
+}
+
+// kmeansBag is a serve-kmeans-shaped bag: 120 3-D standard normal points.
+func kmeansBag(seed int64) bag.Bag {
+	rng := randx.New(seed)
+	pts := make([][]float64, 120)
+	for i := range pts {
+		pts[i] = rng.NormalVec(3, 0, 1)
+	}
+	return bag.New(0, pts)
+}
+
+// TestKMeansBuilderMatchesKMeans: the pooled-workspace Build emits the
+// centers and counts cluster.KMeans computes from the same RNG position,
+// and each center is a capacity-capped view, so appending to one cannot
+// overwrite its neighbour in the shared backing array.
+func TestKMeansBuilderMatchesKMeans(t *testing.T) {
+	kb := NewKMeansBuilder(16, cluster.Config{}, randx.NewFast(3))
+	ref := randx.NewFast(3)
+	for seed := int64(0); seed < 20; seed++ {
+		b := kmeansBag(seed)
+		s, err := kb.Build(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cluster.KMeans(b.Points, 16, cluster.Config{}, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != len(res.Centers) {
+			t.Fatalf("bag %d: %d centers, want %d", seed, s.Len(), len(res.Centers))
+		}
+		for c, ctr := range res.Centers {
+			if s.Weights[c] != float64(res.Counts[c]) {
+				t.Fatalf("bag %d: weight %d is %g, want %d", seed, c, s.Weights[c], res.Counts[c])
+			}
+			if cap(s.Centers[c]) != len(ctr) {
+				t.Fatalf("bag %d: center %d has capacity %d, want %d", seed, c, cap(s.Centers[c]), len(ctr))
+			}
+			for j, v := range ctr {
+				if math.Float64bits(s.Centers[c][j]) != math.Float64bits(v) {
+					t.Fatalf("bag %d: center %d coordinate %d is %v, want %v", seed, c, j, s.Centers[c][j], v)
+				}
+			}
+		}
+	}
+}
+
+// TestKMeansBuilderBuildAllocs: a warm Build rents its k-means scratch,
+// so it allocates only the signature — the center array, the center
+// views and the weights.
+func TestKMeansBuilderBuildAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	kb := NewKMeansBuilder(16, cluster.Config{}, randx.NewFast(9))
+	b := kmeansBag(1)
+	if _, err := kb.Build(b); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := kb.Build(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("warm KMeansBuilder.Build: %v allocations, want at most 3", allocs)
+	}
+}
+
+// TestFixedSupportBuilders: the histogram and grid builders report a
+// fixed support; the clustering builders do not implement FixedSupport.
+func TestFixedSupportBuilders(t *testing.T) {
+	for name, b := range map[string]Builder{
+		"histogram": NewHistogramBuilder(0, 1, 4),
+		"grid":      NewGridBuilder([]float64{0, 0}, []float64{1, 1}, 4),
+	} {
+		if fs, ok := b.(FixedSupport); !ok || !fs.FixedSupport() {
+			t.Errorf("%s builder does not report a fixed support", name)
+		}
+	}
+	for name, b := range map[string]Builder{
+		"kmeans":   NewKMeansBuilder(2, cluster.Config{}, randx.NewFast(1)),
+		"kmedoids": NewKMedoidsBuilder(2, cluster.Config{}, randx.NewFast(1)),
+		"online":   NewOnlineBuilder(2, 0.5),
+	} {
+		if _, ok := b.(FixedSupport); ok {
+			t.Errorf("%s builder claims a fixed support", name)
 		}
 	}
 }

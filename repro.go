@@ -306,15 +306,18 @@ func WithRawMass(raw bool) Option {
 }
 
 // WithEMDCostCache sizes the ground-cost cache each stream detector's
-// EMD solver holds. The w−1 solves of a push all involve the incoming
-// signature, and stable-support builders (histogram, grid) emit
+// EMD solver holds. Fixed-support builders (histogram, grid) emit
 // bit-identical support sets on every bag, so cached cost rows replace
-// most ground-distance evaluations with lookups. n = 0 — the default —
-// selects emd.DefaultCostCacheSlots, a positive value is the slot
-// count, and a negative value disables caching. The cache is
+// most ground-distance evaluations with lookups; clustering builders
+// (k-means, k-medoids, online) emit new supports per bag, and a cache
+// over them never hits. n = 0 — the default — attaches
+// emd.DefaultCostCacheSlots slots for fixed-support builders and none
+// otherwise, a positive value attaches that many slots for any
+// builder, and a negative value disables caching. The cache is
 // bit-transparent — every score is the same bits with caching on or
 // off — so this knob is NOT part of the snapshot fingerprint and
-// engines may restore across different cache settings. Watch bagcpd_push_solver_ground_evals_total vs
+// engines may restore across different cache settings. Watch
+// bagcpd_push_solver_ground_evals_total vs
 // bagcpd_push_solver_cache_hits_total on /metrics to see the absorption
 // ratio.
 func WithEMDCostCache(n int) Option {
