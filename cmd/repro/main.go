@@ -8,19 +8,9 @@
 //	repro -exp fig10 -scale small -seed 7
 //	repro -exp ablation        # the DESIGN.md §5 design-choice studies
 //	repro -exp engine          # multi-stream engine scale-out demo
-//	repro -exp pairwise        # tiled + sharded pairwise-EMD demo
+//	repro -exp pairwise        # tiled pairwise-EMD demo
 //	repro -exp solverscale     # block-pricing EMD solver scaling study
 //	repro -exp distprofile     # offline distance-profile segmentation demo
-//
-// The pairwise experiment also exposes the multi-process sharding flow:
-// each shard process computes its tile subset of the corpus matrix and
-// emits a mergeable partial as JSON, and a collector merges them —
-//
-//	repro -exp pairwise -shard 0/2 > p0.json
-//	repro -exp pairwise -shard 1/2 > p1.json
-//	repro -exp pairwise -merge p0.json,p1.json
-//
-// The merged matrix is verified bit-identical to a single-process run.
 //
 // The -scale small option shrinks the workloads (fewer nodes, records and
 // bootstrap replicates) so every figure regenerates in seconds; the shape
@@ -29,15 +19,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/bipartite"
 	"repro/internal/enron"
 	"repro/internal/experiments"
@@ -47,29 +33,12 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: fig1|fig6|table1|fig7|fig10|fig11|ablation|engine|pairwise|solverscale|distprofile|all")
 	seed := flag.Int64("seed", 1, "master RNG seed")
 	scale := flag.String("scale", "full", "workload scale: full|small")
-	shard := flag.String("shard", "", "with -exp pairwise: compute shard i/k of the corpus matrix and emit the partial as JSON")
-	merge := flag.String("merge", "", "with -exp pairwise: comma-separated partial JSON files to merge and verify")
 	flag.Parse()
 
 	small := *scale == "small"
 	if *scale != "full" && *scale != "small" {
 		fmt.Fprintf(os.Stderr, "repro: unknown scale %q (want full or small)\n", *scale)
 		os.Exit(2)
-	}
-	if *shard != "" || *merge != "" {
-		if *exp != "pairwise" {
-			fmt.Fprintln(os.Stderr, "repro: -shard and -merge require -exp pairwise")
-			os.Exit(2)
-		}
-		if *shard != "" && *merge != "" {
-			fmt.Fprintln(os.Stderr, "repro: -shard and -merge are mutually exclusive")
-			os.Exit(2)
-		}
-		if err := runPairwiseShardFlow(*seed, pairwiseOptions(small), *shard, *merge, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: pairwise failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	runners := map[string]func() (string, error){
@@ -153,8 +122,15 @@ func main() {
 			return r.Report, nil
 		},
 		"pairwise": func() (string, error) {
-			r, err := experiments.PairwiseScale(*seed, pairwiseOptions(small))
+			opts := experiments.PairwiseScaleOptions{}
+			if small {
+				opts = experiments.PairwiseScaleOptions{N: 48, PointsPerBag: 25}
+			}
+			r, err := experiments.PairwiseScale(*seed, opts)
 			if err != nil {
+				if r != nil {
+					fmt.Print(r.Report)
+				}
 				return "", err
 			}
 			return r.Report, nil
@@ -207,52 +183,4 @@ func main() {
 		fmt.Print(report)
 		fmt.Printf("\n[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// pairwiseOptions sizes the pairwise demo corpus. Shard processes and
-// the merge collector must agree on these (they are derived from -scale
-// only), or the partials would describe different matrices.
-func pairwiseOptions(small bool) experiments.PairwiseScaleOptions {
-	if small {
-		// Tile 12 gives a 4×4 tile grid (10 upper-triangle tiles), so even
-		// the small demo genuinely distributes tiles across shards.
-		return experiments.PairwiseScaleOptions{N: 48, PointsPerBag: 25, TileSize: 12}
-	}
-	return experiments.PairwiseScaleOptions{}
-}
-
-// runPairwiseShardFlow handles the multi-process halves of the pairwise
-// experiment: -shard i/k computes one shard's partial and writes it as
-// JSON to stdout; -merge f1,f2,... reads partials back, merges them, and
-// prints the verification report.
-func runPairwiseShardFlow(seed int64, opts experiments.PairwiseScaleOptions, shard, merge string, out io.Writer) error {
-	if shard != "" {
-		var idx, cnt int
-		if n, err := fmt.Sscanf(shard, "%d/%d", &idx, &cnt); n != 2 || err != nil {
-			return fmt.Errorf("bad -shard %q (want i/k, e.g. 0/2)", shard)
-		}
-		p, err := experiments.PairwiseShardPartial(seed, opts, idx, cnt)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(out)
-		return enc.Encode(p)
-	}
-	var parts []*repro.PartialMatrix
-	for _, path := range strings.Split(merge, ",") {
-		blob, err := os.ReadFile(strings.TrimSpace(path))
-		if err != nil {
-			return err
-		}
-		var p repro.PartialMatrix
-		if err := json.Unmarshal(blob, &p); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		parts = append(parts, &p)
-	}
-	report, err := experiments.PairwiseMergeReport(seed, opts, parts)
-	if report != "" {
-		fmt.Fprint(out, report)
-	}
-	return err
 }

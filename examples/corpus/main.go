@@ -5,12 +5,8 @@
 // the regimes as clusters, and segment the corpus with the
 // distance-profile detector (repro.DistProfile), which recovers every
 // regime boundary — with a permutation p-value each — from the matrix
-// alone.
-//
-// The same matrix is then recomputed as two shard partials and merged,
-// demonstrating the multi-process flow (each shard could run on its own
-// host; partials are plain JSON): the merged matrix is bit-identical to
-// the single-process one.
+// alone. It exits non-zero unless exactly the two planted boundaries
+// come back.
 //
 // Run: go run ./examples/corpus
 package main
@@ -57,36 +53,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Same matrix as two mergeable shard partials — in production these
-	// two calls run as separate processes on separate hosts, exchanging
-	// the partials as JSON (see `repro -exp pairwise -shard i/k`).
-	var parts []*repro.PartialMatrix
-	for s := 0; s < 2; s++ {
-		p, err := repro.PairwiseEMDShard(seq,
-			repro.WithPairBuilderFactory(factory, 7),
-			repro.WithTileSize(32),
-			repro.WithShard(s, 2),
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
-		parts = append(parts, p)
-	}
-	merged, err := repro.MergePairwise(parts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	identical := true
-	for i := 0; i < m.N() && identical; i++ {
-		for j := 0; j < m.N(); j++ {
-			if merged.At(i, j) != m.At(i, j) {
-				identical = false
-				break
-			}
-		}
-	}
-	fmt.Printf("pairwise EMD over %d days (%d distances); 2-shard merge bit-identical: %v\n\n",
-		days, days*(days-1)/2, identical)
+	fmt.Printf("pairwise EMD over %d days (%d distances)\n\n", days, days*(days-1)/2)
 
 	// MDS embedding: the three regimes separate in the plane.
 	coords, _, err := repro.MDSEmbed(m.Rows(), 2)
@@ -114,6 +81,10 @@ func main() {
 	for _, p := range points {
 		fmt.Printf("segment boundary at day %d (scan stat %.4f, p=%.3f)\n", p.T, p.Stat, p.PValue)
 	}
+	got := repro.ChangeTimes(points)
 	fmt.Printf("\n%d boundaries recovered at days %v (true changes at days %d and %d)\n",
-		len(points), repro.ChangeTimes(points), changeA, changeB)
+		len(points), got, changeA, changeB)
+	if len(got) != 2 || got[0] != changeA || got[1] != changeB {
+		log.Fatalf("corpus: boundaries %v, want [%d %d]", got, changeA, changeB)
+	}
 }

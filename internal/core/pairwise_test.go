@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -103,9 +102,8 @@ func assertMatrixEqualsRef(t *testing.T, label string, m *PairwiseMatrix, ref []
 
 // TestPairwiseTiledBitIdenticalToFlat is the tentpole property test:
 // the tiled matrix equals the flat seed-era implementation bit-for-bit for
-// every tested tile size, worker count, and shard split (after
-// MergePairwise) — tiling, parallelism, and sharding are pure
-// throughput/topology knobs.
+// every tested tile size and worker count — tiling and parallelism are
+// pure throughput knobs.
 func TestPairwiseTiledBitIdenticalToFlat(t *testing.T) {
 	const n = 23
 	rng := randx.New(41)
@@ -130,33 +128,13 @@ func TestPairwiseTiledBitIdenticalToFlat(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			assertMatrixEqualsRef(t, label, m, ref)
-
-			for _, shards := range []int{1, 2, 3} {
-				parts := make([]*PartialMatrix, shards)
-				for s := 0; s < shards; s++ {
-					parts[s], err = PairwiseShard(seq,
-						WithPairBuilderFactory(factory, 0),
-						WithTileSize(tile),
-						WithPairWorkers(workers),
-						WithShard(s, shards),
-					)
-					if err != nil {
-						t.Fatalf("%s shard %d/%d: %v", label, s, shards, err)
-					}
-				}
-				merged, err := MergePairwise(parts...)
-				if err != nil {
-					t.Fatalf("%s merge %d shards: %v", label, shards, err)
-				}
-				assertMatrixEqualsRef(t, fmt.Sprintf("%s shards=%d", label, shards), merged, ref)
-			}
 		}
 	}
 }
 
 // TestPairwiseFactoryPathDeterministic: the factory path is a pure
-// function of (factory, seed, seq) — identical across worker counts,
-// tile sizes, and shard layouts even for the randomized k-means builder.
+// function of (factory, seed, seq) — identical across worker counts and
+// tile sizes even for the randomized k-means builder.
 func TestPairwiseFactoryPathDeterministic(t *testing.T) {
 	const n = 17
 	rng := randx.New(43)
@@ -184,53 +162,6 @@ func TestPairwiseFactoryPathDeterministic(t *testing.T) {
 			assertMatrixEqualsRef(t, fmt.Sprintf("factory tile=%d workers=%d", tile, workers), m, ref.Rows())
 		}
 	}
-	// Two-shard split through the factory path merges to the same matrix.
-	var parts []*PartialMatrix
-	for s := 0; s < 2; s++ {
-		p, err := PairwiseShard(seq, WithPairBuilderFactory(factory, seed), WithTileSize(5), WithShard(s, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, p)
-	}
-	merged, err := MergePairwise(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatrixEqualsRef(t, "factory shards=2", merged, ref.Rows())
-}
-
-// TestPartialMatrixJSONRoundTrip: partials survive the serialization
-// boundary between shard processes without perturbing a single bit.
-func TestPartialMatrixJSONRoundTrip(t *testing.T) {
-	rng := randx.New(44)
-	seq := gaussianSeq(rng, 11, 5, 30, 0, 3)
-	factory := signature.HistogramFactory(-8, 10, 24)
-	ref, err := seedEraPairwiseEMD(factory(0), seq, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parts []*PartialMatrix
-	for s := 0; s < 2; s++ {
-		p, err := PairwiseShard(seq, WithPairBuilderFactory(factory, 0), WithTileSize(3), WithShard(s, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rt PartialMatrix
-		if err := json.Unmarshal(blob, &rt); err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, &rt)
-	}
-	merged, err := MergePairwise(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatrixEqualsRef(t, "json round-trip", merged, ref)
 }
 
 func TestPairwiseMatrixViews(t *testing.T) {
@@ -263,83 +194,13 @@ func TestPairwiseOptionValidation(t *testing.T) {
 	seq := bag.Sequence{bag.FromScalars(0, []float64{1})}
 	withHist := WithPairBuilderFactory(signature.HistogramFactory(0, 2, 2), 1)
 	cases := map[string][]PairwiseOpt{
-		"no builder":       {},
-		"nil factory":      {WithPairBuilderFactory(nil, 1)},
-		"negative tile":    {withHist, WithTileSize(-1)},
-		"bad shard index":  {withHist, WithShard(2, 2)},
-		"bad shard count":  {withHist, WithShard(0, 0)},
-		"sharded Pairwise": {withHist, WithShard(0, 2)},
+		"no builder":    {},
+		"nil factory":   {WithPairBuilderFactory(nil, 1)},
+		"negative tile": {withHist, WithTileSize(-1)},
 	}
 	for name, opts := range cases {
 		if _, err := Pairwise(seq, opts...); err == nil {
 			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-func TestMergePairwiseValidation(t *testing.T) {
-	rng := randx.New(46)
-	seq := gaussianSeq(rng, 9, 4, 20, 0, 3)
-	factory := signature.HistogramFactory(-8, 10, 16)
-	shard := func(s, k, tile int) *PartialMatrix {
-		t.Helper()
-		p, err := PairwiseShard(seq, WithPairBuilderFactory(factory, 0), WithTileSize(tile), WithShard(s, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	p0, p1 := shard(0, 2, 3), shard(1, 2, 3)
-
-	if _, err := MergePairwise(); err == nil {
-		t.Error("empty merge: expected error")
-	}
-	if _, err := MergePairwise(p0); err == nil {
-		t.Error("missing shard: expected coverage error")
-	}
-	if _, err := MergePairwise(p0, p1, p1); err == nil {
-		t.Error("duplicate shard: expected overlap error")
-	}
-	if _, err := MergePairwise(p0, shard(1, 2, 4)); err == nil {
-		t.Error("mismatched tile size: expected layout error")
-	}
-	if m, err := MergePairwise(p0, p1); err != nil || m.N() != 9 {
-		t.Errorf("valid merge failed: %v", err)
-	}
-	// A corrupted packed block must be rejected, not silently unpacked.
-	bad := *p1
-	bad.Values = append([][]float64{}, p1.Values...)
-	bad.Values[0] = bad.Values[0][:len(bad.Values[0])-1]
-	if _, err := MergePairwise(p0, &bad); err == nil {
-		t.Error("truncated tile block: expected error")
-	}
-}
-
-// TestPairwiseShardLayoutPartitionsTriangle: for several (n, tile, k)
-// layouts, the shards' tile lists partition the upper-triangle grid.
-func TestPairwiseShardLayoutPartitionsTriangle(t *testing.T) {
-	for _, n := range []int{1, 5, 23, 64, 100} {
-		for _, tile := range []int{1, 7, 64} {
-			nt := tileGrid(n, tile)
-			want := nt * (nt + 1) / 2
-			for _, k := range []int{1, 2, 3, 5} {
-				seen := map[tileRef]int{}
-				total := 0
-				for s := 0; s < k; s++ {
-					for _, tl := range shardTiles(n, tile, s, k) {
-						seen[tl]++
-						total++
-					}
-				}
-				if total != want || len(seen) != want {
-					t.Fatalf("n=%d tile=%d k=%d: %d tiles over %d distinct, want %d", n, tile, k, total, len(seen), want)
-				}
-				for tl, c := range seen {
-					if c != 1 {
-						t.Fatalf("n=%d tile=%d k=%d: tile %v assigned %d times", n, tile, k, tl, c)
-					}
-				}
-			}
 		}
 	}
 }
@@ -413,8 +274,7 @@ func TestPairwiseTiledCancelsOnErrorWithoutLeaks(t *testing.T) {
 // parallelism collapse: the automatic tile size must yield enough tiles
 // that a Fig. 6-sized corpus (n=20) still fans out across workers,
 // instead of one 64-edge tile pinning all n(n−1)/2 solves to a single
-// goroutine. The rule must also be machine-independent (pure in n) so
-// shard processes agree on the grid.
+// goroutine.
 func TestAutoTileSizeFeedsWorkers(t *testing.T) {
 	for _, n := range []int{2, 20, 64, 512, 100000} {
 		tile := autoTileSize(n)
@@ -422,23 +282,13 @@ func TestAutoTileSizeFeedsWorkers(t *testing.T) {
 			t.Fatalf("autoTileSize(%d) = %d, want in [1, %d]", n, tile, MaxTileSize)
 		}
 		if n >= 16 {
-			if tiles := len(shardTiles(n, tile, 0, 1)); tiles < 16 {
+			if tiles := len(upperTiles(n, tile)); tiles < 16 {
 				t.Errorf("n=%d: only %d tiles at auto tile %d; small corpora must still feed all workers", n, tiles, tile)
 			}
 		}
 	}
 	if autoTileSize(100000) != MaxTileSize {
 		t.Errorf("large n must cap at MaxTileSize")
-	}
-}
-
-// TestMergePairwiseRejectsCorruptEmptyPartial: a malformed partial
-// declaring n=0 but carrying tile ids must return an error, not panic
-// with a divide by zero in the tile-id decomposition.
-func TestMergePairwiseRejectsCorruptEmptyPartial(t *testing.T) {
-	corrupt := &PartialMatrix{N: 0, TileSize: 1, TileIDs: []int{0}, Values: [][]float64{{}}}
-	if _, err := MergePairwise(corrupt); err == nil {
-		t.Error("corrupt n=0 partial with tiles must error")
 	}
 }
 
@@ -464,29 +314,4 @@ func TestPairwiseMatrixRowsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestPairwiseShardMemoryIsPacked: a shard's partial carries exactly its
-// packed cells — the sum of its value-block lengths equals the cells of
-// its tiles, not n² (the full-matrix scratch the shard path must never
-// allocate per the n ≫ 10³ design).
-func TestPairwiseShardMemoryIsPacked(t *testing.T) {
-	rng := randx.New(48)
-	const n = 30
-	seq := gaussianSeq(rng, n, n/2, 20, 0, 3)
-	total := 0
-	for s := 0; s < 3; s++ {
-		p, err := PairwiseShard(seq,
-			WithPairBuilderFactory(signature.HistogramFactory(-8, 10, 16), 0),
-			WithTileSize(7), WithShard(s, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range p.Values {
-			total += len(v)
-		}
-	}
-	if want := n * (n - 1) / 2; total != want {
-		t.Errorf("shards carry %d packed cells in total, want exactly the %d upper-triangle cells", total, want)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bipartite"
-	"repro/internal/core"
 	"repro/internal/enron"
 	"repro/internal/randx"
 	"repro/internal/synth"
@@ -267,7 +266,7 @@ func TestFig6Deterministic(t *testing.T) {
 }
 
 func TestPairwiseScale(t *testing.T) {
-	opts := PairwiseScaleOptions{N: 32, PointsPerBag: 20, TileSize: 8}
+	opts := PairwiseScaleOptions{N: 32, PointsPerBag: 20}
 	res, err := PairwiseScale(5, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -275,39 +274,8 @@ func TestPairwiseScale(t *testing.T) {
 	if !res.BitIdentical {
 		t.Error("worker count changed the matrix")
 	}
-	if !res.ShardMergeIdentical {
-		t.Error("2-shard merge differs from single-process matrix")
-	}
 	if !strings.Contains(res.Report, "Pairwise EMD at corpus scale") {
 		t.Error("report missing")
-	}
-}
-
-// TestPairwiseShardMergeFlow drives the same path as the
-// `repro -exp pairwise -shard i/k` → `-merge` CLI: three shard partials
-// computed independently (as three processes would) merge into a matrix
-// the merge report verifies against a single-process run.
-func TestPairwiseShardMergeFlow(t *testing.T) {
-	opts := PairwiseScaleOptions{N: 24, PointsPerBag: 15, TileSize: 5}
-	const shards = 3
-	parts := make([]*core.PartialMatrix, shards)
-	for s := 0; s < shards; s++ {
-		p, err := PairwiseShardPartial(5, opts, s, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[s] = p
-	}
-	report, err := PairwiseMergeReport(5, opts, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(report, "bit-identical to single-process matrix: true") {
-		t.Errorf("merge report does not confirm bit-identity:\n%s", report)
-	}
-	// Dropping a shard must fail loudly, not zero-fill.
-	if _, err := PairwiseMergeReport(5, opts, parts[:2]); err == nil {
-		t.Error("merge with a missing shard must error")
 	}
 }
 

@@ -13,11 +13,8 @@ import (
 	"repro/internal/signature"
 )
 
-// PairwiseScaleOptions sizes the tiled/sharded pairwise-EMD
-// demonstration. The corpus is a pure function of (seed, options), so
-// independent shard PROCESSES given the same seed and options compute
-// partials of the same matrix — that is what makes the
-// `repro -exp pairwise -shard i/k` → `-merge` flow work.
+// PairwiseScaleOptions sizes the tiled pairwise-EMD demonstration. The
+// corpus is a pure function of (seed, options).
 type PairwiseScaleOptions struct {
 	// N is the number of bags in the corpus (default 192).
 	N int
@@ -27,8 +24,6 @@ type PairwiseScaleOptions struct {
 	// (default 6; the grid builder is deterministic, so the flat and
 	// tiled paths see identical signatures).
 	Bins int
-	// TileSize is the tile edge (default 0 → core.DefaultTileSize).
-	TileSize int
 	// Workers bounds the tile workers (default 0 → GOMAXPROCS).
 	Workers int
 }
@@ -62,62 +57,6 @@ func pairwiseCorpus(seed int64, opts PairwiseScaleOptions) bag.Sequence {
 		seq[t] = bag.New(t, pts)
 	}
 	return seq
-}
-
-func pairwiseBuilderOpts(opts PairwiseScaleOptions) []core.PairwiseOpt {
-	factory := signature.GridFactory([]float64{-4, -4}, []float64{7, 7}, opts.Bins)
-	return []core.PairwiseOpt{
-		core.WithPairBuilderFactory(factory, 0),
-		core.WithTileSize(opts.TileSize),
-	}
-}
-
-// PairwiseShardPartial computes shard `shard` of `shards` of the demo
-// corpus matrix — the per-process half of the two-process → merge flow
-// behind `repro -exp pairwise -shard i/k`.
-func PairwiseShardPartial(seed int64, opts PairwiseScaleOptions, shard, shards int) (*core.PartialMatrix, error) {
-	opts = opts.withDefaults()
-	seq := pairwiseCorpus(seed, opts)
-	o := append(pairwiseBuilderOpts(opts),
-		core.WithPairWorkers(opts.Workers),
-		core.WithShard(shard, shards),
-	)
-	return core.PairwiseShard(seq, o...)
-}
-
-// PairwiseMergeReport merges shard partials (typically read back from
-// the JSON the -shard runs emitted), verifies the result against an
-// in-process single-machine computation of the same corpus, and renders
-// a report. The verification recomputes the full matrix, which is
-// exactly what a production collector would NOT do — it is here to make
-// the demo self-checking.
-func PairwiseMergeReport(seed int64, opts PairwiseScaleOptions, parts []*core.PartialMatrix) (string, error) {
-	opts = opts.withDefaults()
-	merged, err := core.MergePairwise(parts...)
-	if err != nil {
-		return "", err
-	}
-	seq := pairwiseCorpus(seed, opts)
-	full, err := core.Pairwise(seq, append(pairwiseBuilderOpts(opts), core.WithPairWorkers(opts.Workers))...)
-	if err != nil {
-		return "", err
-	}
-	identical := matricesIdentical(merged, full)
-
-	var b strings.Builder
-	b.WriteString(header("Sharded pairwise EMD — merge report"))
-	fmt.Fprintf(&b, "merged %d partial(s) into a %d×%d matrix (tile size %d)\n",
-		len(parts), merged.N(), merged.N(), parts[0].TileSize)
-	for i, p := range parts {
-		fmt.Fprintf(&b, "  partial %d: shard %d/%d, %d tiles\n", i, p.ShardIndex, p.ShardCount, len(p.TileIDs))
-	}
-	fmt.Fprintf(&b, "bit-identical to single-process matrix: %v\n", identical)
-	mean, maxD := matrixStats(merged)
-	fmt.Fprintf(&b, "mean off-diagonal EMD %.4f, max %.4f\n", mean, maxD)
-	if !identical {
-		return b.String(), fmt.Errorf("experiments: merged matrix differs from the single-process matrix")
-	}
-	return b.String(), nil
 }
 
 func matricesIdentical(a, b *core.PairwiseMatrix) bool {
@@ -159,26 +98,21 @@ type PairwiseScaleResult struct {
 	SecondsParallel   float64
 	// BitIdentical reports that worker count did not change a single bit.
 	BitIdentical bool
-	// ShardMergeIdentical reports that a 2-shard compute → MergePairwise
-	// run reproduced the single-process matrix exactly.
-	ShardMergeIdentical bool
 }
 
-// PairwiseScale exercises the tiled pairwise engine the way the
-// ROADMAP's "sharded PairwiseEMD for n ≫ 10³" item intends: an N-bag
-// corpus is reduced to its full dissimilarity matrix once with one
-// worker and once with the full worker group (bit-identity check,
-// throughput comparison), and then recomputed as two shard partials that
-// are merged — the same flow that `repro -exp pairwise -shard 0/2`,
-// `-shard 1/2` and `-merge` run as separate processes.
+// PairwiseScale exercises the tiled pairwise engine at corpus scale: an
+// N-bag corpus is reduced to its full dissimilarity matrix once with one
+// worker and once with the full worker group, for a throughput
+// comparison and a bit-identity check. A matrix that depends on the
+// worker count is an error; the result still carries the report.
 func PairwiseScale(seed int64, opts PairwiseScaleOptions) (*PairwiseScaleResult, error) {
 	opts = opts.withDefaults()
 	seq := pairwiseCorpus(seed, opts)
-	base := pairwiseBuilderOpts(opts)
+	factory := signature.GridFactory([]float64{-4, -4}, []float64{7, 7}, opts.Bins)
 
 	run := func(workers int) (*core.PairwiseMatrix, float64, error) {
 		start := time.Now()
-		m, err := core.Pairwise(seq, append(base, core.WithPairWorkers(workers))...)
+		m, err := core.Pairwise(seq, core.WithPairBuilderFactory(factory, 0), core.WithPairWorkers(workers))
 		return m, time.Since(start).Seconds(), err
 	}
 	seqMat, seqSecs, err := run(1)
@@ -195,44 +129,25 @@ func PairwiseScale(seed int64, opts PairwiseScaleOptions) (*PairwiseScaleResult,
 	}
 	identical := matricesIdentical(seqMat, parMat)
 
-	// Two shards in-process, then merge: the single-machine rehearsal of
-	// the multi-host flow.
-	var parts []*core.PartialMatrix
-	for s := 0; s < 2; s++ {
-		p, err := core.PairwiseShard(seq, append(base, core.WithShard(s, 2))...)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, p)
-	}
-	merged, err := core.MergePairwise(parts...)
-	if err != nil {
-		return nil, err
-	}
-	shardIdentical := matricesIdentical(merged, parMat)
-
 	pairs := opts.N * (opts.N - 1) / 2
 	var b strings.Builder
-	b.WriteString(header("Pairwise EMD at corpus scale — tiled + sharded"))
-	fmt.Fprintf(&b, "corpus: %d bags × %d points, grid %d² signatures, %d pairs, tile size %d\n",
-		opts.N, opts.PointsPerBag, opts.Bins, pairs, parts[0].TileSize)
+	b.WriteString(header("Pairwise EMD at corpus scale — tiled"))
+	fmt.Fprintf(&b, "corpus: %d bags × %d points, grid %d² signatures, %d pairs\n",
+		opts.N, opts.PointsPerBag, opts.Bins, pairs)
 	fmt.Fprintf(&b, "  tiled, 1 worker:      %8.3fs  (%8.0f pairs/s)\n", seqSecs, float64(pairs)/seqSecs)
 	fmt.Fprintf(&b, "  tiled, %2d workers:    %8.3fs  (%8.0f pairs/s, %.2fx)\n", workers, parSecs, float64(pairs)/parSecs, seqSecs/parSecs)
 	fmt.Fprintf(&b, "  bit-identical across worker counts: %v\n", identical)
-	fmt.Fprintf(&b, "  2-shard partials (%d + %d tiles) merge == single-process: %v\n",
-		len(parts[0].TileIDs), len(parts[1].TileIDs), shardIdentical)
-	mean, maxD := matrixStats(merged)
+	mean, maxD := matrixStats(parMat)
 	fmt.Fprintf(&b, "  mean off-diagonal EMD %.4f, max %.4f\n", mean, maxD)
-	b.WriteString("\nshard this across processes with:\n")
-	b.WriteString("  repro -exp pairwise -shard 0/2 > p0.json\n")
-	b.WriteString("  repro -exp pairwise -shard 1/2 > p1.json\n")
-	b.WriteString("  repro -exp pairwise -merge p0.json,p1.json\n")
 
-	return &PairwiseScaleResult{
-		Report:              b.String(),
-		SecondsSequential:   seqSecs,
-		SecondsParallel:     parSecs,
-		BitIdentical:        identical,
-		ShardMergeIdentical: shardIdentical,
-	}, nil
+	res := &PairwiseScaleResult{
+		Report:            b.String(),
+		SecondsSequential: seqSecs,
+		SecondsParallel:   parSecs,
+		BitIdentical:      identical,
+	}
+	if !identical {
+		return res, fmt.Errorf("experiments: the %d-worker matrix differs from the 1-worker matrix", workers)
+	}
+	return res, nil
 }

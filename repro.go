@@ -430,38 +430,27 @@ func Alarms(points []Point) []int { return core.Alarms(points) }
 // Scores extracts the score series.
 func Scores(points []Point) []float64 { return core.Scores(points) }
 
-// --- Tiled / sharded pairwise EMD -------------------------------------------
+// --- Tiled pairwise EMD -----------------------------------------------------
 
 // PairwiseMatrix is the full symmetric EMD matrix in one flat row-major
-// allocation: At(i, j) reads a cell, Rows() is the [][]float64
-// compatibility view (aliasing the same storage).
+// allocation: At(i, j) reads a cell, Rows() gives the n rows as
+// [][]float64 for MDSEmbed (views into the same storage).
 type PairwiseMatrix = core.PairwiseMatrix
 
-// PartialMatrix is one shard's packed tiles of a pairwise matrix —
-// plain, JSON-serializable data that MergePairwise reassembles.
-type PartialMatrix = core.PartialMatrix
-
-// PairwiseOpt configures PairwiseEMDTiled and PairwiseEMDShard.
+// PairwiseOpt configures PairwiseEMDTiled.
 type PairwiseOpt = core.PairwiseOpt
 
 // WithTileSize sets the tile edge T of the upper-triangle partition: a
 // worker streams over at most 2T resident signatures per tile. 0 selects
-// the default. Tile size never affects the computed values, but all
-// shards of one layout must agree on it.
+// the default. Tile size never affects the computed values.
 func WithTileSize(t int) PairwiseOpt { return core.WithTileSize(t) }
 
 // WithPairWorkers bounds the tile-computing goroutines (<= 0 selects
 // GOMAXPROCS). Worker count never affects the computed values.
 func WithPairWorkers(n int) PairwiseOpt { return core.WithPairWorkers(n) }
 
-// WithShard assigns the call shard index of count: the tile grid is
-// dealt round-robin, so the count shards of one layout partition the
-// matrix exactly. Use with PairwiseEMDShard.
-func WithShard(index, count int) PairwiseOpt { return core.WithShard(index, count) }
-
 // WithPairBuilderFactory builds signatures through a factory with
-// per-bag split seeds (parallel, worker-count- and shard-independent).
-// Required.
+// per-bag split seeds (parallel, worker-count-independent). Required.
 func WithPairBuilderFactory(f BuilderFactory, seed int64) PairwiseOpt {
 	return core.WithPairBuilderFactory(f, seed)
 }
@@ -476,33 +465,16 @@ func WithPairRawMass(raw bool) PairwiseOpt { return core.WithPairRawMass(raw) }
 
 // WithPairEMDCostCache sizes the tile-local ground-cost cache each
 // worker solver holds (0 selects the emd default, negative disables).
-// Bit-transparent — the matrix is identical with caching on or off —
-// so shards need not agree on it; see core.WithPairEMDCostCache.
+// Bit-transparent: the matrix is identical with caching on or off; see
+// core.WithPairEMDCostCache.
 func WithPairEMDCostCache(n int) PairwiseOpt { return core.WithPairEMDCostCache(n) }
 
 // PairwiseEMDTiled computes the full pairwise EMD matrix with the tiled
 // engine. The result is a pure function of the signature configuration
 // and the ground distance: tile size and worker count are throughput
-// knobs only, and the matrix is bit-identical to a sharded run merged
-// with MergePairwise.
+// knobs only.
 func PairwiseEMDTiled(seq Sequence, opts ...PairwiseOpt) (*PairwiseMatrix, error) {
 	return core.Pairwise(seq, opts...)
-}
-
-// PairwiseEMDShard computes one shard of the matrix (select it with
-// WithShard) and returns a mergeable partial. Each shard rebuilds all n
-// signatures deterministically — O(n) — while the O(n²) distance work is
-// divided by the shard layout, so independent processes or hosts can
-// each take a shard and a collector can MergePairwise the results.
-func PairwiseEMDShard(seq Sequence, opts ...PairwiseOpt) (*PartialMatrix, error) {
-	return core.PairwiseShard(seq, opts...)
-}
-
-// MergePairwise reassembles a full matrix from every shard's partial,
-// validating that the tiles cover the matrix exactly once. The merged
-// matrix is bit-identical to a single-process PairwiseEMDTiled run.
-func MergePairwise(parts ...*PartialMatrix) (*PairwiseMatrix, error) {
-	return core.MergePairwise(parts...)
 }
 
 // MDSEmbed computes a k-dimensional classical multidimensional-scaling
