@@ -11,36 +11,42 @@ import (
 	"repro/internal/signature"
 )
 
+// variableSupport hides a builder's signature.FixedSupport method, so a
+// detector or pairwise worker built over it runs without a cost cache:
+// the uncached side of the bit-identity tests.
+type variableSupport struct{ signature.Builder }
+
 // TestDetectorCostCacheBitIdentity runs the full detector twice on the
-// same sequence — EMD cost caching on vs off — and requires every
+// same sequence — a histogram builder (cost cache attached) vs the same
+// builder with its fixed support hidden (no cache) — and requires every
 // inspection point to match bit-for-bit. The Manhattan ground forces the
 // 1-D histogram signatures through the simplex (Euclidean would take the
 // closed form and never touch the cache), so this exercises the cached
-// row fills on the real detector loop. The contract is what keeps
-// EMDCostCacheSlots out of the snapshot fingerprint.
+// row fills on the real detector loop. The contract is what keeps the
+// cache out of the snapshot fingerprint.
 func TestDetectorCostCacheBitIdentity(t *testing.T) {
-	mkCfg := func(cacheSlots int) Config {
+	mkCfg := func(b signature.Builder) Config {
 		return Config{
 			Tau:      5,
 			TauPrime: 5,
-			Builder:  signature.NewHistogramBuilder(-10, 10, 40),
+			Builder:  b,
 			Ground:   emd.Manhattan,
 			Bootstrap: bootstrap.Config{
 				Replicates: 150,
 				Alpha:      0.05,
 			},
-			Seed:              1,
-			EMDCostCacheSlots: cacheSlots,
+			Seed: 1,
 		}
 	}
 	rng := randx.New(3)
 	seq := gaussianSeq(rng, 28, 14, 80, 0, 5)
 
-	cached, err := Run(mkCfg(0), seq) // 0 = default cache on
+	hist := signature.NewHistogramBuilder(-10, 10, 40)
+	cached, err := Run(mkCfg(hist), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(mkCfg(-1), seq) // negative = cache disabled
+	plain, err := Run(mkCfg(variableSupport{hist}), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,18 +65,18 @@ func TestDetectorCostCacheBitIdentity(t *testing.T) {
 }
 
 // TestPairwiseCostCacheBitIdentity: the tile-local ground-cost caches
-// must not perturb a single bit of the pairwise matrix, across worker
-// counts and tile sizes.
+// of a histogram corpus must not perturb a single bit of the pairwise
+// matrix, across worker counts and tile sizes.
 func TestPairwiseCostCacheBitIdentity(t *testing.T) {
 	const n = 19
 	rng := randx.New(47)
 	seq := gaussianSeq(rng, n, n/2, 60, 0, 4)
 	factory := signature.HistogramFactory(-8, 10, 32)
+	uncached := func(seed int64) signature.Builder { return variableSupport{factory(seed)} }
 
 	ref, err := Pairwise(seq,
-		WithPairBuilderFactory(factory, 0),
+		WithPairBuilderFactory(uncached, 0),
 		WithPairGround(emd.Manhattan), // force the simplex on 1-D histograms
-		WithPairEMDCostCache(-1),      // cache off
 		WithPairWorkers(1),
 	)
 	if err != nil {
@@ -81,7 +87,6 @@ func TestPairwiseCostCacheBitIdentity(t *testing.T) {
 			m, err := Pairwise(seq,
 				WithPairBuilderFactory(factory, 0),
 				WithPairGround(emd.Manhattan),
-				WithPairEMDCostCache(0), // default cache on
 				WithPairWorkers(workers),
 				WithTileSize(tile),
 			)
@@ -93,40 +98,47 @@ func TestPairwiseCostCacheBitIdentity(t *testing.T) {
 	}
 }
 
-// TestDetectorCostCacheDefault: under the default EMDCostCacheSlots = 0
-// the detector attaches a cache only for a fixed-support builder; a
-// positive value attaches that many slots and a negative one none,
-// whatever the builder.
+// TestDetectorCostCacheDefault: a detector's solves consult a cost cache
+// exactly when its builder reports a fixed support. Under the Manhattan
+// ground every 1-D solve runs the simplex, so the cache counters of a
+// fixed-support builder move on every push and those of every other
+// builder stay at zero.
 func TestDetectorCostCacheDefault(t *testing.T) {
+	seq := gaussianSeq(randx.New(8), 8, 4, 40, 0, 2)
 	hist := signature.NewHistogramBuilder(-4, 4, 16)
-	kmeans := signature.KMeansFactory(4, cluster.Config{})(1)
 	for _, tc := range []struct {
 		name    string
 		builder signature.Builder
-		slots   int
-		want    int // attached slots, 0 for none
+		cached  bool
 	}{
-		{"hist/default", hist, 0, emd.DefaultCostCacheSlots},
-		{"kmeans/default", kmeans, 0, 0},
-		{"hist/off", hist, -1, 0},
-		{"kmeans/on", kmeans, 2, 2},
-		{"kmeans/off", kmeans, -1, 0},
+		{"histogram", hist, true},
+		{"grid", signature.NewGridBuilder([]float64{-4}, []float64{4}, 16), true},
+		{"kmeans", signature.KMeansFactory(4, cluster.Config{})(1), false},
+		{"kmedoids", signature.KMedoidsFactory(4, cluster.Config{})(1), false},
+		{"online", signature.OnlineFactory(4, 0)(1), false},
+		{"histogram/hidden", variableSupport{hist}, false},
 	} {
 		d, err := New(Config{
 			Tau: 2, TauPrime: 2,
-			Builder:           tc.builder,
-			Bootstrap:         bootstrap.Config{Replicates: 10},
-			EMDCostCacheSlots: tc.slots,
+			Builder:   tc.builder,
+			Ground:    emd.Manhattan,
+			Bootstrap: bootstrap.Config{Replicates: 10},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := 0
-		if cc := d.solver.CostCache(); cc != nil {
-			got = cc.Slots()
-		}
-		if got != tc.want {
-			t.Errorf("%s: %d cache slots attached, want %d", tc.name, got, tc.want)
+		for i, b := range seq {
+			if _, err := d.Push(b); err != nil {
+				t.Fatalf("%s: push %d: %v", tc.name, i, err)
+			}
+			if i == 0 {
+				continue // one bag, no EMD yet
+			}
+			st := d.solver.Stats()
+			if moved := st.CacheHits+st.CacheMisses > 0; moved != tc.cached {
+				t.Errorf("%s: push %d: cache hits %d, misses %d; want cache counters moving = %v",
+					tc.name, i, st.CacheHits, st.CacheMisses, tc.cached)
+			}
 		}
 	}
 }

@@ -75,21 +75,6 @@ type Config struct {
 	// EMD a proper metric between the bag distributions and is the
 	// behaviour used for all reproduced experiments.
 	RawMass bool
-	// EMDCostCacheSlots sizes the detector's ground-cost cache, which
-	// lets repeated support pairs skip their ground evaluations. Only
-	// builders with a fixed support (signature.FixedSupport: histogram,
-	// grid) repeat supports across pushes, so 0, the default, attaches
-	// emd.DefaultCostCacheSlots slots for them and no cache for any
-	// other builder: clustering builders (k-means, k-medoids, online)
-	// emit a new support set per bag, and a cache over them never hits
-	// yet holds K² costs per slot. A positive value attaches that many
-	// slots whatever the builder, and a negative value disables the
-	// cache. This knob is deliberately NOT part of the snapshot
-	// fingerprint: the cache is bit-transparent (stored costs are the
-	// exact floats the ground function returned and the solver replays
-	// the identical comparison sequence), so scores are the same bits
-	// with the cache on or off.
-	EMDCostCacheSlots int
 	// Seed drives the bootstrap resampling (and nothing else).
 	Seed int64
 }
@@ -197,14 +182,10 @@ func New(cfg Config) (*Detector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	var solverOpts []emd.SolverOption
-	if slots := cfg.costCacheSlots(); slots > 0 {
-		solverOpts = append(solverOpts, emd.WithCostCache(slots))
-	}
 	d := &Detector{
 		cfg:     cfg,
 		history: make(map[int]bootstrap.Interval),
-		solver:  emd.NewSolver(solverOpts...),
+		solver:  emd.NewSolver(solverOptions(cfg.Builder)...),
 		// Persistent shard streams seeded from Config.Seed: the detector
 		// pays no per-push reseeding cost and its output is a deterministic
 		// function of Seed and the pushed sequence.
@@ -231,20 +212,18 @@ func New(cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// costCacheSlots resolves EMDCostCacheSlots against the Builder into
-// the number of cost-cache slots the detector's solver gets, 0 for no
-// cache.
-func (c Config) costCacheSlots() int {
-	switch {
-	case c.EMDCostCacheSlots > 0:
-		return c.EMDCostCacheSlots
-	case c.EMDCostCacheSlots < 0:
-		return 0
+// solverOptions returns the options of a solver that computes EMDs
+// between b's signatures, for the detector and the pairwise workers
+// alike: a ground-cost cache (emd.DefaultCostCacheSlots slots) iff b
+// reports a fixed support (signature.FixedSupport: histogram, grid),
+// whose signatures repeat their support pair on every solve. Clustering
+// builders (k-means, k-medoids, online) emit a new support per bag, so
+// a cache over them never hits yet holds K² costs per slot.
+func solverOptions(b signature.Builder) []emd.SolverOption {
+	if fs, ok := b.(signature.FixedSupport); ok && fs.FixedSupport() {
+		return []emd.SolverOption{emd.WithCostCache(0)}
 	}
-	if fs, ok := c.Builder.(signature.FixedSupport); ok && fs.FixedSupport() {
-		return emd.DefaultCostCacheSlots
-	}
-	return 0
+	return nil
 }
 
 // WindowSize returns τ+τ′, the number of bags the detector retains.

@@ -99,7 +99,6 @@ type pairwiseCfg struct {
 	factorySeed int64
 	ground      emd.Ground
 	rawMass     bool
-	cacheSlots  int   // ground-cost cache slots per worker; < 0 disables
 	err         error // first option error, reported at the call site
 }
 
@@ -158,18 +157,6 @@ func WithPairGround(g emd.Ground) PairwiseOpt {
 // different sizes.
 func WithPairRawMass(raw bool) PairwiseOpt {
 	return func(c *pairwiseCfg) { c.rawMass = raw }
-}
-
-// WithPairEMDCostCache sizes the ground-cost cache each worker solver
-// holds: a tile revisits its ≤2T resident signatures O(T) times, so
-// cached cost rows turn most of a tile's ground-distance work into
-// lookups (with stable-support builders — histogram, grid — a single
-// cached matrix serves the whole tile). 0 (the default) selects
-// emd.DefaultCostCacheSlots, a positive value is the per-worker slot
-// count, and a negative value disables caching. The cache is
-// bit-transparent: the matrix is identical with caching on or off.
-func WithPairEMDCostCache(n int) PairwiseOpt {
-	return func(c *pairwiseCfg) { c.cacheSlots = n }
 }
 
 func resolvePairwise(opts []PairwiseOpt) (pairwiseCfg, error) {
@@ -297,22 +284,12 @@ func computeTiles(sigs []signature.Signature, flat []float64, tiles []tileRef, c
 		}
 	}
 
-	// Each worker gets its own solver and (unless disabled) its own
-	// tile-local ground-cost cache: a tile revisits its ≤2T resident
-	// signatures O(T) times, so cached cost rows serve most of its solves.
-	// The cache is prewarmed for the corpus dimensionality so the sweep
-	// stays allocation-free after warm-up.
-	dim := 0
-	if n > 0 {
-		dim = sigs[0].Dim()
-	}
+	// Each worker gets its own solver, prewarmed (with its cost cache, if
+	// the builder's fixed support earns one) so the sweep stays
+	// allocation-free after warm-up.
+	opts := solverOptions(cfg.factory(0))
 	newWorkerSolver := func() *emd.Solver {
-		sv := emd.NewSolver()
-		if cfg.cacheSlots >= 0 {
-			cc := emd.NewCostCache(cfg.cacheSlots)
-			cc.Prewarm(maxLen, dim)
-			sv.SetCostCache(cc)
-		}
+		sv := emd.NewSolver(opts...)
 		sv.Prewarm(maxLen)
 		return sv
 	}

@@ -46,11 +46,11 @@ import (
 // ORDER differs from v2, so degenerate K≥128 instances can settle on a
 // different equally-optimal basis and produce different last bits under
 // an unchanged fingerprint — same reasoning as v2, so v2 envelopes are
-// refused. Note what did NOT join the fingerprint: EMDCostCacheSlots.
-// The ground-cost cache is bit-transparent (stored costs are the exact
+// refused. Note what did NOT join the fingerprint: the ground-cost
+// cache, which a detector attaches iff its builder reports a fixed
+// support. The cache is bit-transparent (stored costs are the exact
 // floats the ground returned, replayed through the identical comparison
-// sequence), so cache configuration cannot change any computed value
-// and snapshots may freely cross cache settings.
+// sequence), so it cannot change any computed value.
 //
 // v4 replaced the fingerprint's score field with the statistic NAME:
 // the detector's per-inspection score is now a registry of named

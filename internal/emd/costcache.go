@@ -43,7 +43,7 @@ import (
 // package-level grounds.
 
 // DefaultCostCacheSlots is the number of distinct support pairs a
-// CostCache retains when constructed with NewCostCache(0). The detector
+// CostCache retains when attached with WithCostCache(0). The detector
 // window and a pairwise tile are dominated by one (histogram/grid) or a
 // handful (mixed) of support sets; four slots cover those with LRU
 // headroom while keeping the worst-case footprint at 4·K² floats.
@@ -83,7 +83,7 @@ type CostCacheStats struct {
 
 // CostCache is a small LRU of ground-cost matrices keyed on signature
 // supports, shared by every solve of the Solver it is attached to
-// (SetCostCache / WithCostCache / DistanceCached). A one-slot fast path
+// (WithCostCache, the only way to attach one). A one-slot fast path
 // covers the stable-support builders (histogram, grid) where every
 // lookup hits the same entry; the LRU covers mixed workloads.
 //
@@ -97,9 +97,9 @@ type CostCache struct {
 	stats  CostCacheStats
 }
 
-// NewCostCache returns a cache holding up to slots distinct support
+// newCostCache returns a cache holding up to slots distinct support
 // pairs; slots <= 0 selects DefaultCostCacheSlots.
-func NewCostCache(slots int) *CostCache {
+func newCostCache(slots int) *CostCache {
 	if slots <= 0 {
 		slots = DefaultCostCacheSlots
 	}
@@ -114,9 +114,9 @@ func (c *CostCache) Slots() int { return len(c.slots) }
 
 // Prewarm grows every slot's buffers to hold signatures of up to k
 // support points with dim-dimensional centers, so a fresh solver's first
-// DistanceCached call stores its matrix without allocating. Solver.Prewarm
-// calls this with dim = 3 for an attached cache; workloads with
-// higher-dimensional centers should Prewarm the cache directly.
+// cached Distance stores its matrix without allocating. Solver.Prewarm
+// calls this with dim = 3 for an attached cache; higher-dimensional
+// centers grow an entry's support buffer on its first store.
 //
 // A live entry whose buffers must be reallocated to reach the new size
 // is dropped (grow* hands back fresh zeroed memory, not a copy), so a

@@ -25,7 +25,7 @@ func identityIdx(n int) []int {
 // random as well as
 // builder-shaped (histogram/grid) signatures — returns floats
 // bit-identical to the uncached solver. This is what licenses keeping
-// EMDCostCacheSlots out of the snapshot fingerprint.
+// the cost cache out of the snapshot fingerprint.
 func TestCostCacheBitIdentity(t *testing.T) {
 	rng := randx.New(77)
 
@@ -91,7 +91,7 @@ func TestCostCacheBitIdentity(t *testing.T) {
 				// Pass 0 stores the matrix, pass 1 is served from it; both
 				// must be exactly the uncached value.
 				for pass := 0; pass < 2; pass++ {
-					got, err := cached.DistanceCached(p.s, p.u, gr.g)
+					got, err := cached.Distance(p.s, p.u, gr.g)
 					if err != nil {
 						t.Fatalf("%s/%s/%s cached pass %d: %v", path.name, gr.name, p.name, pass, err)
 					}
@@ -123,7 +123,7 @@ func TestCostCacheWarmResolveZeroGroundEvals(t *testing.T) {
 			s := randomSig(rng, 2, 24, 1)
 			u := randomSig(rng, 2, 24, 1)
 
-			cold, err := sv.DistanceCached(s, u, Euclidean)
+			cold, err := sv.Distance(s, u, Euclidean)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestCostCacheWarmResolveZeroGroundEvals(t *testing.T) {
 				t.Fatal("cold solve stored nothing into the cache")
 			}
 
-			warm, err := sv.DistanceCached(s, u, Euclidean)
+			warm, err := sv.Distance(s, u, Euclidean)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,10 +212,9 @@ func TestCostCacheHashCollisionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cc := NewCostCache(4)
-	sv := NewSolver()
-	sv.SetCostCache(cc)
-	if _, err := sv.DistanceCached(sA, uA, Euclidean); err != nil {
+	sv := NewSolver(WithCostCache(4))
+	cc := sv.cache
+	if _, err := sv.Distance(sA, uA, Euclidean); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +230,7 @@ func TestCostCacheHashCollisionRejected(t *testing.T) {
 		t.Fatal("no used cache entry after a cached solve")
 	}
 
-	got, err := sv.DistanceCached(sB, uB, Euclidean)
+	got, err := sv.Distance(sB, uB, Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +247,8 @@ func TestCostCacheHashCollisionRejected(t *testing.T) {
 // hit or rebuilt-after-eviction — must stay exactly correct.
 func TestCostCacheLRUEviction(t *testing.T) {
 	rng := randx.New(7)
-	cc := NewCostCache(2)
-	sv := NewSolver()
-	sv.SetCostCache(cc)
+	sv := NewSolver(WithCostCache(2))
+	cc := sv.cache
 	ref := NewSolver()
 
 	type pair struct {
@@ -268,7 +266,7 @@ func TestCostCacheLRUEviction(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for i, p := range pairs {
-			got, err := sv.DistanceCached(p.s, p.u, Euclidean)
+			got, err := sv.Distance(p.s, p.u, Euclidean)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,10 +302,10 @@ func TestCostCacheGroundSwitchFlush(t *testing.T) {
 	}
 
 	sv := NewSolver(WithCostCache(2))
-	if got, err := sv.DistanceCached(s, u, Euclidean); err != nil || got != we {
+	if got, err := sv.Distance(s, u, Euclidean); err != nil || got != we {
 		t.Fatalf("euclidean: got %.17g (err %v), want %.17g", got, err, we)
 	}
-	got, err := sv.DistanceCached(s, u, Manhattan)
+	got, err := sv.Distance(s, u, Manhattan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +342,11 @@ func TestCostCachePrewarmAfterUseStaysCorrect(t *testing.T) {
 
 	t.Run("grow-invalidates", func(t *testing.T) {
 		sv := NewSolver(WithCostCache(2))
-		if got, err := sv.DistanceCached(s, u, Euclidean); err != nil || got != want {
+		if got, err := sv.Distance(s, u, Euclidean); err != nil || got != want {
 			t.Fatalf("cold solve: got %.17g (err %v), want %.17g", got, err, want)
 		}
 		sv.Prewarm(20) // 20·20 > 64·4: reallocates cost, keeps rowDone
-		got, err := sv.DistanceCached(s, u, Euclidean)
+		got, err := sv.Distance(s, u, Euclidean)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,13 +360,13 @@ func TestCostCachePrewarmAfterUseStaysCorrect(t *testing.T) {
 
 	t.Run("no-grow-keeps-warm", func(t *testing.T) {
 		sv := NewSolver(WithCostCache(2))
-		if got, err := sv.DistanceCached(s, u, Euclidean); err != nil || got != want {
+		if got, err := sv.Distance(s, u, Euclidean); err != nil || got != want {
 			t.Fatalf("cold solve: got %.17g (err %v), want %.17g", got, err, want)
 		}
 		// Every buffer already has capacity for k=4, dim=2: the live
 		// entry must survive and the re-solve stay a zero-eval hit.
-		sv.CostCache().Prewarm(4, 2)
-		got, err := sv.DistanceCached(s, u, Euclidean)
+		sv.cache.Prewarm(4, 2)
+		got, err := sv.Distance(s, u, Euclidean)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,13 +379,13 @@ func TestCostCachePrewarmAfterUseStaysCorrect(t *testing.T) {
 	})
 }
 
-// TestPrewarmedSolverFirstDistanceCachedZeroAllocs extends the Prewarm
-// zero-alloc guarantee to the cached entry point: a fresh solver with an
+// TestPrewarmedCachedSolverFirstDistanceZeroAllocs extends the Prewarm
+// zero-alloc guarantee to cached solves: a fresh solver with an
 // attached cache that was Prewarmed for the signature size must not
-// allocate even on its FIRST DistanceCached — including the cache's own
+// allocate even on its FIRST Distance — including the cache's own
 // store of the full cost matrix (per-worker solvers in the detector and
 // the pairwise tiles rely on this).
-func TestPrewarmedSolverFirstDistanceCachedZeroAllocs(t *testing.T) {
+func TestPrewarmedCachedSolverFirstDistanceZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -402,8 +400,7 @@ func TestPrewarmedSolverFirstDistanceCachedZeroAllocs(t *testing.T) {
 	const runs = 3
 	fresh := make([]*Solver, 0, runs+1)
 	for i := 0; i < cap(fresh); i++ {
-		sv := NewSolver()
-		sv.SetCostCache(NewCostCache(0))
+		sv := NewSolver(WithCostCache(0))
 		sv.Prewarm(k) // prewarms the attached cache too
 		fresh = append(fresh, sv)
 	}
@@ -411,10 +408,10 @@ func TestPrewarmedSolverFirstDistanceCachedZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, func() {
 		sv := fresh[next]
 		next++
-		if _, err := sv.DistanceCached(s, u, Euclidean); err != nil {
+		if _, err := sv.Distance(s, u, Euclidean); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("first DistanceCached after Prewarm(%d): %g allocs/op, want 0", k, allocs)
+		t.Errorf("first cached Distance after Prewarm(%d): %g allocs/op, want 0", k, allocs)
 	}
 }

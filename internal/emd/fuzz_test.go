@@ -127,7 +127,7 @@ func FuzzSolverDistance(f *testing.F) {
 		}{{"default block", 0, dist}, {"exotic block", 1 + int(kS)%7, blocky}} {
 			cs := NewSolver(WithPricingBlock(v.block), WithCostCache(2))
 			for pass := 0; pass < 2; pass++ {
-				got, err := cs.DistanceCached(s, u, g)
+				got, err := cs.Distance(s, u, g)
 				if err != nil {
 					t.Fatalf("cached %s (pass %d): %v", v.name, pass, err)
 				}
@@ -161,14 +161,14 @@ func FuzzSolverDistance(f *testing.F) {
 			name string
 			sig  signature.Signature
 		}{{"permuted", perm}, {"duplicated", dup}} {
-			cold, err := dp.DistanceCached(v.sig, u, g)
+			cold, err := dp.Distance(v.sig, u, g)
 			if err != nil {
 				t.Fatalf("cached %s supports: %v", v.name, err)
 			}
 			if math.Abs(cold-want) > tol {
 				t.Fatalf("%s supports %.17g vs reference %.17g (Δ=%g)", v.name, cold, want, cold-want)
 			}
-			warm, err := dp.DistanceCached(v.sig, u, g)
+			warm, err := dp.Distance(v.sig, u, g)
 			if err != nil {
 				t.Fatalf("cached %s supports (warm): %v", v.name, err)
 			}

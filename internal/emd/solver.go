@@ -34,7 +34,8 @@ func WithPricingBlock(rows int) SolverOption {
 }
 
 // WithCostCache attaches a fresh ground-cost cache with the given number
-// of slots at construction (<= 0 selects DefaultCostCacheSlots). Unlike
+// of slots at construction (<= 0 selects DefaultCostCacheSlots); it is
+// the only way to attach one, and every solve then consults it. Unlike
 // the block-size knob, caching is bit-transparent — every solve produces
 // the identical floats with the cache on or off — so it never
 // participates in snapshot fingerprints.
@@ -45,17 +46,8 @@ func WithPricingBlock(rows int) SolverOption {
 // would share entries, yielding wrong distances. Pass package-level
 // functions, or a distinct function per parameterization.
 func WithCostCache(slots int) SolverOption {
-	return func(sv *Solver) { sv.cache = NewCostCache(slots) }
+	return func(sv *Solver) { sv.cache = newCostCache(slots) }
 }
-
-// SetCostCache attaches c to the solver — every subsequent solve
-// (Distance, DistanceValidated, DistanceFlow, DistanceCached) consults
-// it. Passing nil detaches caching. Batch drivers that Prewarm share
-// nothing: the cache, like the solver, must be per-worker.
-func (sv *Solver) SetCostCache(c *CostCache) { sv.cache = c }
-
-// CostCache returns the attached cache, nil if none.
-func (sv *Solver) CostCache() *CostCache { return sv.cache }
 
 // Solver is a reusable transportation-simplex workspace. All scratch
 // state — the flat row-major cost matrix, the rooted basis tree, the
@@ -235,9 +227,8 @@ func (sv *Solver) Prewarm(k int) {
 	if cap(sv.events) < 2*k {
 		sv.events = make([]ev1d, 2*k)
 	}
-	// An attached cache is prewarmed with a 3-dimensional-center margin
-	// (covers every center dimensionality this repo ships; higher-dim
-	// workloads should CostCache.Prewarm(k, dim) directly).
+	// An attached cache is prewarmed with a 3-dimensional-center margin,
+	// which covers every fixed-support corpus this repo builds.
 	if sv.cache != nil {
 		sv.cache.Prewarm(k, 3)
 	}
@@ -277,34 +268,6 @@ func (sv *Solver) Distance(s, t signature.Signature, g Ground) (float64, error) 
 // would not survive Distance's validation is undefined behaviour (e.g.
 // negative weights are silently dropped rather than rejected).
 func (sv *Solver) DistanceValidated(s, t signature.Signature, g Ground) (float64, error) {
-	return sv.distance(s, t, g)
-}
-
-// DistanceCached is Distance with ground-cost caching guaranteed on: if
-// no CostCache is attached yet, a DefaultCostCacheSlots cache is created
-// and attached first, then the call proceeds exactly as Distance. The
-// returned floats are bit-identical to an uncached Distance on the same
-// inputs — the cache stores the exact values the ground function
-// returned and the solver replays the identical comparison sequence —
-// so callers may mix DistanceCached and Distance freely. The win is on
-// repeats: once a support pair's cost rows are cached, re-solves of the
-// same supports (the detector window, histogram/grid builders, pairwise
-// tiles) skip every ground evaluation, including the O(m+n) NW-corner
-// basis costs.
-//
-// Because caching is auto-attached here, g must be pure: the cache keys
-// the ground by its code pointer, so closures that share code but
-// capture different state (a scaled-metric factory, say) would silently
-// share entries and return wrong distances. Pass package-level
-// functions; for parameterized grounds use Distance, or a distinct
-// function per parameterization.
-func (sv *Solver) DistanceCached(s, t signature.Signature, g Ground) (float64, error) {
-	if err := validatePair(s, t); err != nil {
-		return 0, err
-	}
-	if sv.cache == nil {
-		sv.cache = NewCostCache(0)
-	}
 	return sv.distance(s, t, g)
 }
 

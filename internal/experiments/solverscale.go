@@ -108,11 +108,11 @@ func SolverScale(seed int64, opts SolverScaleOptions) (*SolverScaleResult, error
 			// Cached column: prime the cache with one solve of the pair,
 			// then time the warm re-solve — the repeat-heavy shape of the
 			// detector window and the pairwise tiles.
-			if _, err := cached.DistanceCached(s, u, emd.Euclidean); err != nil {
+			if _, err := cached.Distance(s, u, emd.Euclidean); err != nil {
 				return nil, fmt.Errorf("solverscale: cache prime K=%d: %w", k, err)
 			}
 			start = time.Now()
-			wv, err := cached.DistanceCached(s, u, emd.Euclidean)
+			wv, err := cached.Distance(s, u, emd.Euclidean)
 			if err != nil {
 				return nil, fmt.Errorf("solverscale: cached K=%d: %w", k, err)
 			}

@@ -47,25 +47,16 @@ func Lint(r io.Reader) []error {
 		}
 		return f
 	}
-	// typeOf resolves a sample name to its declaring family,
-	// accounting for the histogram/summary suffix conventions.
+	// typeOf resolves a sample name to its declaring family (familyOf)
+	// and that family's state.
 	typeOf := func(sample string) (family string, f *famState) {
-		if f, ok := fams[sample]; ok && f.typ != "" {
-			return sample, f
-		}
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			base, ok := strings.CutSuffix(sample, suffix)
-			if !ok {
-				continue
+		family = familyOf(sample, func(name string) string {
+			if f := fams[name]; f != nil {
+				return f.typ
 			}
-			if f, ok := fams[base]; ok && (f.typ == "histogram" || f.typ == "summary") {
-				if suffix == "_bucket" && f.typ != "histogram" {
-					continue
-				}
-				return base, f
-			}
-		}
-		return sample, fams[sample]
+			return ""
+		})
+		return family, fams[family]
 	}
 
 	seriesSeen := make(map[string]int) // canonical series -> line

@@ -34,6 +34,25 @@ type Family struct {
 	Samples []Sample
 }
 
+// familyOf resolves a sample name to the family that declares it, given
+// each declared family's TYPE (typeOf returns "" for undeclared names):
+// the name itself when it has a TYPE, else the base of a _bucket suffix
+// on a histogram or of a _sum/_count suffix on a histogram or summary,
+// else the name itself. Lint and ParseExposition share this rule.
+func familyOf(sample string, typeOf func(name string) string) string {
+	if typeOf(sample) != "" {
+		return sample
+	}
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(sample, suffix); ok {
+			if t := typeOf(base); t == "histogram" || (t == "summary" && suffix != "_bucket") {
+				return base
+			}
+		}
+	}
+	return sample
+}
+
 // ParseExposition parses a Prometheus text page into its families, in
 // order of first appearance. Samples with histogram/summary suffixes
 // are attached to the base family that declared the matching TYPE, so a
@@ -54,25 +73,14 @@ func ParseExposition(r io.Reader) ([]*Family, error) {
 		}
 		return f
 	}
-	// resolve maps a sample name to its declaring family, honoring the
-	// histogram/summary suffix conventions (same rules Lint applies).
+	// resolve maps a sample name to its declaring family (familyOf).
 	resolve := func(sample string) *Family {
-		if f, ok := byName[sample]; ok && f.Type != "" {
-			return f
-		}
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			base, ok := strings.CutSuffix(sample, suffix)
-			if !ok {
-				continue
+		return get(familyOf(sample, func(name string) string {
+			if f := byName[name]; f != nil {
+				return f.Type
 			}
-			if f, ok := byName[base]; ok && (f.Type == "histogram" || f.Type == "summary") {
-				if suffix == "_bucket" && f.Type != "histogram" {
-					continue
-				}
-				return f
-			}
-		}
-		return get(sample)
+			return ""
+		}))
 	}
 
 	sc := bufio.NewScanner(r)

@@ -157,10 +157,11 @@ type RNGSnapshotter interface {
 // FixedSupport is implemented by builders whose signatures always take
 // their centers from one fixed set (the histogram's bin midpoints, the
 // grid's cell centers), so the ground costs between any two of their
-// signatures repeat from bag to bag. A detector attaches its ground-cost
-// cache by default only to such builders: clustering builders (k-means,
-// k-medoids, online) place new centers on every bag, and a cache over
-// them never hits.
+// signatures repeat from bag to bag. It alone decides whether an EMD
+// solver gets a ground-cost cache, for the detector and the pairwise
+// matrix alike: such builders get one, and clustering builders
+// (k-means, k-medoids, online), which place new centers on every bag
+// and would never hit a cache, get none.
 type FixedSupport interface {
 	// FixedSupport reports whether every signature's centers come from
 	// the builder's fixed set.

@@ -305,25 +305,6 @@ func WithRawMass(raw bool) Option {
 	return Option{func(c *core.EngineConfig) { c.Template.RawMass = raw }}
 }
 
-// WithEMDCostCache sizes the ground-cost cache each stream detector's
-// EMD solver holds. Fixed-support builders (histogram, grid) emit
-// bit-identical support sets on every bag, so cached cost rows replace
-// most ground-distance evaluations with lookups; clustering builders
-// (k-means, k-medoids, online) emit new supports per bag, and a cache
-// over them never hits. n = 0 — the default — attaches
-// emd.DefaultCostCacheSlots slots for fixed-support builders and none
-// otherwise, a positive value attaches that many slots for any
-// builder, and a negative value disables caching. The cache is
-// bit-transparent — every score is the same bits with caching on or
-// off — so this knob is NOT part of the snapshot fingerprint and
-// engines may restore across different cache settings. Watch
-// bagcpd_push_solver_ground_evals_total vs
-// bagcpd_push_solver_cache_hits_total on /metrics to see the absorption
-// ratio.
-func WithEMDCostCache(n int) Option {
-	return Option{func(c *core.EngineConfig) { c.Template.EMDCostCacheSlots = n }}
-}
-
 // WithSeed sets the engine base seed. Each stream gets the derived seed
 // randx.SplitSeedString(seed, streamID), so per-stream output is a
 // deterministic function of (seed, stream id, pushed bags) only —
@@ -462,12 +443,6 @@ func WithPairGround(g Ground) PairwiseOpt { return core.WithPairGround(g) }
 // WithPairRawMass keeps raw signature masses (partial-matching EMD)
 // instead of normalizing to unit total.
 func WithPairRawMass(raw bool) PairwiseOpt { return core.WithPairRawMass(raw) }
-
-// WithPairEMDCostCache sizes the tile-local ground-cost cache each
-// worker solver holds (0 selects the emd default, negative disables).
-// Bit-transparent: the matrix is identical with caching on or off; see
-// core.WithPairEMDCostCache.
-func WithPairEMDCostCache(n int) PairwiseOpt { return core.WithPairEMDCostCache(n) }
 
 // PairwiseEMDTiled computes the full pairwise EMD matrix with the tiled
 // engine. The result is a pure function of the signature configuration
