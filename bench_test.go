@@ -237,12 +237,15 @@ func BenchmarkBootstrapCI(b *testing.B) {
 	}
 	win := infoest.Window{LogD: logD, NRef: 5, NTest: 5}
 	score := func(gRef, gTest []float64) float64 { return infoest.ScoreKL(win, gRef, gTest) }
+	batch := func(gRef, gTest *[bootstrap.Lanes][]float64, out *[bootstrap.Lanes]float64) bool {
+		return infoest.ScoreKL4(win, gRef, gTest, out)
+	}
 	base := infoest.UniformWeights(5)
 	cfg := bootstrap.Config{Replicates: 1000}
 	est := bootstrap.NewSeededEstimator(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Interval(score, base, base, cfg); err != nil {
+		if _, err := est.Interval(score, batch, base, base, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,6 +277,42 @@ func BenchmarkDetectorPush(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := det.Push(bags[i%len(bags)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDetectorPushServeHist measures a steady-state push in the
+// bagbench serve-hist shape: 1-D bags of 50 points, a 32-bin histogram
+// over [-6, 9], closed-form EMD, τ=τ′=4, T=200. The bootstrap is most of
+// the cost here, as it is at the paper shape of BenchmarkDetectorPush.
+func BenchmarkDetectorPushServeHist(b *testing.B) {
+	rng := randx.New(6)
+	det, err := NewDetector(Config{
+		Tau: 4, TauPrime: 4,
+		Builder:   HistogramFactory(-6, 9, 32)(11),
+		Bootstrap: BootstrapConfig{Replicates: 200},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bags := make([]Bag, 64)
+	for t := range bags {
+		vals := make([]float64, 50)
+		for i := range vals {
+			vals[i] = rng.Normal(0, 1)
+		}
+		bags[t] = BagFromScalars(t, vals)
+	}
+	for t := 0; t < 16; t++ { // warm the window
+		if _, err := det.Push(bags[t%len(bags)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := det.Push(bags[i%len(bags)]); err != nil {

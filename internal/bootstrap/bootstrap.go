@@ -25,6 +25,14 @@
 // The Estimator type owns all scratch (Dirichlet parameters, weight
 // vectors, the replicate score buffer, shard RNGs) so a warm Estimator
 // computes intervals with zero steady-state allocations.
+//
+// A statistic may come with a batch kernel (BatchScoreFunc) that scores
+// Lanes = 4 replicates per call, still serially on the caller's
+// goroutine: a shard draws four replicates' weights in the usual order
+// into four scratch lanes and scores them at once, and its remaining
+// replicates, fewer than four, go through the scalar ScoreFunc. A batch
+// kernel must equal the ScoreFunc bit for bit, so it changes the cost
+// of an interval and never its value.
 package bootstrap
 
 import (
@@ -85,8 +93,22 @@ func (iv Interval) Width() float64 { return iv.Up - iv.Lo }
 // ScoreFunc evaluates the statistic under one weight assignment. The
 // slices are owned by the caller and reused across replicates; the
 // function must not retain them. It is called serially, on the
-// goroutine that calls Interval.
+// goroutine that calls Interval. A BatchScoreFunc may stand in for it
+// on groups of Lanes replicates.
 type ScoreFunc func(gRef, gTest []float64) float64
+
+// Lanes is the number of replicates a BatchScoreFunc scores per call.
+const Lanes = 4
+
+// BatchScoreFunc is an optional batch kernel of a ScoreFunc: it scores
+// Lanes weight assignments at once, out[l] = score(gRef[l], gTest[l]),
+// and must equal the ScoreFunc bit for bit on every lane, so an interval
+// does not depend on which path scored a replicate. It may decline a
+// batch by returning false (out is then ignored), and the estimator
+// scores those lanes with the ScoreFunc. Like a ScoreFunc it must not
+// retain its arguments, and it is called serially, on the goroutine that
+// calls Interval.
+type BatchScoreFunc func(gRef, gTest *[Lanes][]float64, out *[Lanes]float64) bool
 
 // shardSize is the number of replicates per RNG stream. It is part of
 // the reproducibility contract: changing it changes which stream drives
@@ -99,8 +121,11 @@ const shardSize = 64
 // independent).
 type Estimator struct {
 	alphaRef, alphaTest []float64
-	gRef, gTest         []float64
-	scores              []float64
+	// lanes backs the Lanes replicate weight pairs: lane l is gRef[l]
+	// followed by gTest[l]. Lane 0 also serves the scalar path.
+	lanes       []float64
+	gRef, gTest [Lanes][]float64
+	scores      []float64
 	// shards[k] is shard k's persistent stream, created lazily at
 	// NewFast(SplitSeed(seedBase, k)).
 	shards   []*randx.RNG
@@ -180,7 +205,13 @@ func (e *Estimator) RestoreStreams(st StreamState) error {
 // Replicate r draws γ_ref ~ Dir(τ·θ_ref), γ_test ~ Dir(τ′·θ_test)
 // (Eq. 21-22) from shard r/64's stream and evaluates score(γ_ref,
 // γ_test). The estimator's shard streams advance; its scratch is reused.
-func (e *Estimator) Interval(score ScoreFunc, baseRef, baseTest []float64, cfg Config) (Interval, error) {
+//
+// batch, when not nil, is a batch kernel of score: each shard still
+// draws its replicates in order (ref, then test, per replicate), Lanes
+// at a time, and scores each group with one batch call; a shard's last
+// replicates that do not fill a group go through score. Because batch
+// equals score bit for bit, the interval does not depend on it.
+func (e *Estimator) Interval(score ScoreFunc, batch BatchScoreFunc, baseRef, baseTest []float64, cfg Config) (Interval, error) {
 	if err := cfg.Validate(); err != nil {
 		return Interval{}, err
 	}
@@ -193,8 +224,7 @@ func (e *Estimator) Interval(score ScoreFunc, baseRef, baseTest []float64, cfg C
 	}
 	e.alphaRef = scaledInto(e.alphaRef, baseRef)
 	e.alphaTest = scaledInto(e.alphaTest, baseTest)
-	e.gRef = growFloats(e.gRef, len(baseRef))
-	e.gTest = growFloats(e.gTest, len(baseTest))
+	e.bindLanes(len(baseRef), len(baseTest))
 
 	T := cfg.Replicates
 	if cap(e.scores) < T {
@@ -204,12 +234,22 @@ func (e *Estimator) Interval(score ScoreFunc, baseRef, baseTest []float64, cfg C
 	numShards := (T + shardSize - 1) / shardSize
 	e.growShards(numShards)
 	for k := 0; k < numShards; k++ {
-		e.runShard(k, score, T)
+		e.runShard(k, score, batch, T)
 	}
 
-	lo := quantileSelect(e.scores, cfg.Alpha/2)
-	up := quantileSelect(e.scores, 1-cfg.Alpha/2)
+	lo, up := quantilePair(e.scores, cfg.Alpha/2, 1-cfg.Alpha/2)
 	return Interval{Lo: lo, Up: up, Point: score(baseRef, baseTest)}, nil
+}
+
+// bindLanes points the Lanes weight pairs at consecutive nRef+nTest
+// stretches of the lanes buffer, growing it on first use.
+func (e *Estimator) bindLanes(nRef, nTest int) {
+	n := nRef + nTest
+	e.lanes = growFloats(e.lanes, Lanes*n)
+	for l := range e.gRef {
+		lane := e.lanes[l*n : (l+1)*n]
+		e.gRef[l], e.gTest[l] = lane[:nRef], lane[nRef:]
+	}
 }
 
 // growShards materializes shard streams up to n. A new shard k starts at
@@ -221,14 +261,30 @@ func (e *Estimator) growShards(n int) {
 }
 
 // runShard evaluates shard k's replicates (those of the first T that
-// fall in [k·shardSize, (k+1)·shardSize)) into the scores buffer.
-func (e *Estimator) runShard(k int, score ScoreFunc, T int) {
+// fall in [k·shardSize, (k+1)·shardSize)) into the scores buffer: whole
+// groups of Lanes through batch when there is one, the rest one by one
+// through score. Either way replicate r's weights are the r-th pair the
+// shard's stream draws.
+func (e *Estimator) runShard(k int, score ScoreFunc, batch BatchScoreFunc, T int) {
 	rng := e.shards[k]
-	hi := min((k+1)*shardSize, T)
-	for r := k * shardSize; r < hi; r++ {
-		rng.DirichletInto(e.alphaRef, e.gRef)
-		rng.DirichletInto(e.alphaTest, e.gTest)
-		e.scores[r] = score(e.gRef, e.gTest)
+	r, hi := k*shardSize, min((k+1)*shardSize, T)
+	if batch != nil {
+		for ; r+Lanes <= hi; r += Lanes {
+			for l := range e.gRef {
+				rng.DirichletInto(e.alphaRef, e.gRef[l])
+				rng.DirichletInto(e.alphaTest, e.gTest[l])
+			}
+			if !batch(&e.gRef, &e.gTest, (*[Lanes]float64)(e.scores[r:r+Lanes])) {
+				for l := range e.gRef {
+					e.scores[r+l] = score(e.gRef[l], e.gTest[l])
+				}
+			}
+		}
+	}
+	for ; r < hi; r++ {
+		rng.DirichletInto(e.alphaRef, e.gRef[0])
+		rng.DirichletInto(e.alphaTest, e.gTest[0])
+		e.scores[r] = score(e.gRef[0], e.gTest[0])
 	}
 }
 
@@ -301,96 +357,144 @@ func Quantile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// quantileSelect returns the same value as Quantile(sort(xs), p) without
-// sorting: it selects the two order statistics the interpolation needs
-// with an in-place quickselect (O(n) expected instead of O(n log n)).
-// xs is reordered but not otherwise modified. NaN scores (a degenerate
+// quantilePair returns Quantile(sort(xs), pLo) and Quantile(sort(xs),
+// pHi) for pLo <= pHi without sorting: one in-place quickselect pass
+// places the two order statistics the quantiles start from (O(n)
+// expected instead of O(n log n)), and each interpolation takes the next
+// order statistic as a minimum over the elements ranked above it. xs is
+// reordered but not otherwise modified. NaN scores (a degenerate
 // statistic) are not orderable by the Hoare partition, so that case
 // falls back to the sort-based path, which degrades gracefully the way
 // the pre-quickselect implementation did.
-func quantileSelect(xs []float64, p float64) float64 {
+func quantilePair(xs []float64, pLo, pHi float64) (lo, up float64) {
 	for _, v := range xs {
 		if math.IsNaN(v) {
 			sort.Float64s(xs)
-			return Quantile(xs, p)
+			return Quantile(xs, pLo), Quantile(xs, pHi)
 		}
 	}
 	n := len(xs)
 	if n == 0 {
-		return math.NaN()
+		return math.NaN(), math.NaN()
 	}
-	if n == 1 {
-		return xs[0]
-	}
-	if p <= 0 {
-		return selectKth(xs, 0)
-	}
-	if p >= 1 {
-		return selectKth(xs, n-1)
-	}
-	pos := p * float64(n-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return selectKth(xs, n-1)
-	}
-	a := selectKth(xs, lo)
-	// After selectKth, xs[lo+1:] holds exactly the elements ranked above
-	// lo, so the next order statistic is their minimum.
-	b := xs[lo+1]
-	for _, v := range xs[lo+2:] {
-		if v < b {
-			b = v
+	kLo, fLo, iLo := quantileRank(n, pLo)
+	kUp, fUp, iUp := quantileRank(n, pHi)
+	selectPair(xs, kLo, kUp)
+	lo, up = xs[kLo], xs[kUp]
+	// After selectPair every element ranked above kLo sits after it, and
+	// every one ranked above kUp after kUp, so the order statistic that
+	// follows each is the minimum of the stretch up to the next placed one.
+	if iLo {
+		end := n
+		if kUp > kLo {
+			end = kUp + 1
 		}
+		lo = lo*(1-fLo) + minFloat(xs[kLo+1:end])*fLo
 	}
-	return a*(1-frac) + b*frac
+	if iUp {
+		up = up*(1-fUp) + minFloat(xs[kUp+1:])*fUp
+	}
+	return lo, up
 }
 
-// selectKth partially reorders xs so xs[k] holds its ascending-order
-// value, everything before it is <= and everything after is >=. It uses
-// iterative median-of-three quickselect (deterministic; expected O(n)).
-func selectKth(xs []float64, k int) float64 {
+// quantileRank maps p to Quantile's interpolation on n sorted values:
+// the lower order statistic k and, when interp, the weight frac of the
+// next one (Quantile returns sorted[k] outright when !interp).
+func quantileRank(n int, p float64) (k int, frac float64, interp bool) {
+	switch {
+	case n == 1 || p <= 0:
+		return 0, 0, false
+	case p >= 1:
+		return n - 1, 0, false
+	}
+	pos := p * float64(n-1)
+	k = int(math.Floor(pos))
+	if k+1 >= n {
+		return n - 1, 0, false
+	}
+	return k, pos - float64(k), true
+}
+
+func minFloat(xs []float64) float64 {
+	m := xs[0]
+	for _, v := range xs[1:] {
+		if v < m {
+			m = v
+		}
+	}
+	return m
+}
+
+// selectPair partially reorders xs so xs[k1] and xs[k2] (k1 <= k2) hold
+// their ascending-order values, everything before each is <= it and
+// everything after is >=. The partitions both ranks fall in are done
+// once; the first that separates them splits the search into two
+// single-rank selections.
+func selectPair(xs []float64, k1, k2 int) {
 	lo, hi := 0, len(xs)-1
 	for lo < hi {
-		// Median-of-three pivot, moved to xs[lo].
-		mid := lo + (hi-lo)/2
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
+		j := partition(xs, lo, hi)
+		switch {
+		case k2 <= j:
+			hi = j
+		case k1 > j:
+			lo = j + 1
+		default:
+			selectRange(xs, lo, j, k1)
+			selectRange(xs, j+1, hi, k2)
+			return
 		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		// Hoare partition.
-		i, j := lo-1, hi+1
-		for {
-			for {
-				i++
-				if xs[i] >= pivot {
-					break
-				}
-			}
-			for {
-				j--
-				if xs[j] <= pivot {
-					break
-				}
-			}
-			if i >= j {
-				break
-			}
-			xs[i], xs[j] = xs[j], xs[i]
-		}
-		if k <= j {
+	}
+}
+
+// selectRange partially reorders xs[lo..hi] so xs[k] holds its
+// ascending-order value within the range, everything in [lo, k) is <= it
+// and everything in (k, hi] is >=. It is iterative quickselect
+// (deterministic; expected O(hi−lo)).
+func selectRange(xs []float64, lo, hi, k int) {
+	for lo < hi {
+		if j := partition(xs, lo, hi); k <= j {
 			hi = j
 		} else {
 			lo = j + 1
 		}
 	}
-	return xs[k]
+}
+
+// partition is a Hoare partition of xs[lo..hi] (lo < hi) around a
+// median-of-three pivot: it returns j in [lo, hi) with every element of
+// xs[lo..j] <= every element of xs[j+1..hi].
+func partition(xs []float64, lo, hi int) int {
+	mid := lo + (hi-lo)/2
+	if xs[mid] < xs[lo] {
+		xs[mid], xs[lo] = xs[lo], xs[mid]
+	}
+	if xs[hi] < xs[lo] {
+		xs[hi], xs[lo] = xs[lo], xs[hi]
+	}
+	if xs[hi] < xs[mid] {
+		xs[hi], xs[mid] = xs[mid], xs[hi]
+	}
+	pivot := xs[mid]
+	i, j := lo-1, hi+1
+	for {
+		for {
+			i++
+			if xs[i] >= pivot {
+				break
+			}
+		}
+		for {
+			j--
+			if xs[j] <= pivot {
+				break
+			}
+		}
+		if i >= j {
+			return j
+		}
+		xs[i], xs[j] = xs[j], xs[i]
+	}
 }
 
 // Kappa computes the test statistic κ_t = ξ_lo(t) − ξ_up(t−τ′) of Eq. 20:

@@ -58,13 +58,13 @@ func TestKappaAndAlarm(t *testing.T) {
 
 func TestConfidenceIntervalValidation(t *testing.T) {
 	score := func(a, b []float64) float64 { return 0 }
-	if _, err := NewSeededEstimator(1).Interval(score, nil, []float64{1}, Config{}); err == nil {
+	if _, err := NewSeededEstimator(1).Interval(score, nil, nil, []float64{1}, Config{}); err == nil {
 		t.Error("empty baseRef accepted")
 	}
-	if _, err := NewSeededEstimator(1).Interval(score, []float64{0.5, 0.4}, []float64{1}, Config{}); err == nil {
+	if _, err := NewSeededEstimator(1).Interval(score, nil, []float64{0.5, 0.4}, []float64{1}, Config{}); err == nil {
 		t.Error("non-normalized baseRef accepted")
 	}
-	if _, err := NewSeededEstimator(1).Interval(score, []float64{1}, []float64{-1, 2}, Config{}); err == nil {
+	if _, err := NewSeededEstimator(1).Interval(score, nil, []float64{1}, []float64{-1, 2}, Config{}); err == nil {
 		t.Error("negative baseTest accepted")
 	}
 }
@@ -82,7 +82,7 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", cfg)
 		}
-		if _, err := NewSeededEstimator(1).Interval(score, base, base, cfg); err == nil {
+		if _, err := NewSeededEstimator(1).Interval(score, nil, base, base, cfg); err == nil {
 			t.Errorf("Interval with %+v accepted", cfg)
 		}
 	}
@@ -96,11 +96,11 @@ func TestConfigValidate(t *testing.T) {
 func TestConfidenceIntervalDeterministicGivenSeed(t *testing.T) {
 	score := func(a, b []float64) float64 { return a[0] - b[0] }
 	base := []float64{0.5, 0.5}
-	iv1, err := NewSeededEstimator(42).Interval(score, base, base, Config{Replicates: 200})
+	iv1, err := NewSeededEstimator(42).Interval(score, nil, base, base, Config{Replicates: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv2, err := NewSeededEstimator(42).Interval(score, base, base, Config{Replicates: 200})
+	iv2, err := NewSeededEstimator(42).Interval(score, nil, base, base, Config{Replicates: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestConfidenceIntervalOfWeightedMean(t *testing.T) {
 	for i := range base {
 		base[i] = 1 / float64(n)
 	}
-	iv, err := NewSeededEstimator(7).Interval(score, base, []float64{1}, Config{Replicates: 4000})
+	iv, err := NewSeededEstimator(7).Interval(score, nil, base, []float64{1}, Config{Replicates: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestWeightedBaseShiftsInterval(t *testing.T) {
 	uniform := []float64{0.25, 0.25, 0.25, 0.25}
 	skewed := []float64{0.05, 0.05, 0.05, 0.85}
 	dummy := []float64{1}
-	ivU, err := NewSeededEstimator(9).Interval(score, uniform, dummy, Config{Replicates: 2000})
+	ivU, err := NewSeededEstimator(9).Interval(score, nil, uniform, dummy, Config{Replicates: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivS, err := NewSeededEstimator(9).Interval(score, skewed, dummy, Config{Replicates: 2000})
+	ivS, err := NewSeededEstimator(9).Interval(score, nil, skewed, dummy, Config{Replicates: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestZeroBaseWeightGetsAlmostNoMass(t *testing.T) {
 	// should receive essentially no resampled mass.
 	score := func(gRef, _ []float64) float64 { return gRef[0] }
 	base := []float64{0, 0.5, 0.5}
-	iv, err := NewSeededEstimator(11).Interval(score, base, []float64{1}, Config{Replicates: 500})
+	iv, err := NewSeededEstimator(11).Interval(score, nil, base, []float64{1}, Config{Replicates: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestCoverageOfBootstrapInterval(t *testing.T) {
 			}
 			return s
 		}
-		iv, err := NewSeededEstimator(randx.SplitSeed(13, int64(d))).Interval(score, base, []float64{1}, Config{Replicates: 400})
+		iv, err := NewSeededEstimator(randx.SplitSeed(13, int64(d))).Interval(score, nil, base, []float64{1}, Config{Replicates: 400})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestScoresSortedInternally(t *testing.T) {
 		return gRef[0]*3 - gTest[0] + rng.Float64()*0.01
 	}
 	base2 := []float64{0.7, 0.3}
-	iv, err := NewSeededEstimator(19).Interval(score, base2, base2, Config{Replicates: 333, Alpha: 0.1})
+	iv, err := NewSeededEstimator(19).Interval(score, nil, base2, base2, Config{Replicates: 333, Alpha: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func stateIntervals(t *testing.T, e *Estimator, n int) []Interval {
 	cfg := Config{Replicates: 150, Alpha: 0.1}
 	out := make([]Interval, n)
 	for i := range out {
-		iv, err := e.Interval(stateScore, baseRef, baseTest, cfg)
+		iv, err := e.Interval(stateScore, nil, baseRef, baseTest, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestEstimatorRestoreOntoWarm(t *testing.T) {
 	// Materialize MORE shards than the snapshot has by running a larger
 	// replicate count.
 	base := []float64{0.5, 0.5}
-	if _, err := warm.Interval(stateScore, base, base, Config{Replicates: 150 * 4}); err != nil {
+	if _, err := warm.Interval(stateScore, nil, base, base, Config{Replicates: 150 * 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := warm.RestoreStreams(st); err != nil {

@@ -42,12 +42,16 @@ func warmDetector(t testing.TB) (*Detector, []bag.Bag) {
 // TestDetectorBootstrapStageZeroAllocs is the allocation-regression guard
 // for Detector.Push's score/bootstrap stage: once the window is warm, the
 // interval computation (window rebind, T=1000 Dirichlet replicates, score
-// evaluations, quantiles) must not allocate at all.
+// evaluations, quantiles) must not allocate at all. The detector runs
+// the kl statistic, so the replicates go through its batch kernel.
 func TestDetectorBootstrapStageZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	d, _ := warmDetector(t)
+	if d.batchFn == nil {
+		t.Fatal("kl detector has no batch kernel")
+	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := d.interval(); err != nil {
 			t.Fatal(err)

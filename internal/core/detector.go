@@ -157,14 +157,15 @@ type Detector struct {
 	count   int                        // bags pushed so far
 	history map[int]bootstrap.Interval // interval per inspection time
 
-	solver  *emd.Solver          // reusable EMD workspace (zero-alloc warm path)
-	est     *bootstrap.Estimator // reusable bootstrap workspace
-	win     infoest.Window       // current inspection window, rebuilt per inspect
-	stat    Statistic            // resolved statistic (registry lookup at New)
-	prep    BagPreprocessor      // stat's bag transform, nil for most statistics
-	scoreFn bootstrap.ScoreFunc  // stat's closure over &win, built once
-	spare   []float64            // recycled log-distance row from the last slide
-	rowPool [][]float64          // rows salvaged by Reset, reused while refilling
+	solver  *emd.Solver              // reusable EMD workspace (zero-alloc warm path)
+	est     *bootstrap.Estimator     // reusable bootstrap workspace
+	win     infoest.Window           // current inspection window, rebuilt per inspect
+	stat    Statistic                // resolved statistic (registry lookup at New)
+	prep    BagPreprocessor          // stat's bag transform, nil for most statistics
+	scoreFn bootstrap.ScoreFunc      // stat's closure over &win, built once
+	batchFn bootstrap.BatchScoreFunc // stat's batch kernel over &win, nil without one
+	spare   []float64                // recycled log-distance row from the last slide
+	rowPool [][]float64              // rows salvaged by Reset, reused while refilling
 
 	// obs is the instrumentation seam: nil (the default) means every
 	// stage boundary in Push costs exactly one nil-check and nothing is
@@ -197,6 +198,9 @@ func New(cfg Config) (*Detector, error) {
 	d.stat, _ = cfg.statistic()
 	d.prep, _ = d.stat.(BagPreprocessor)
 	d.scoreFn = d.stat.Bind(&d.win)
+	if bs, ok := d.stat.(BatchScorer); ok {
+		d.batchFn = bs.BindBatch(&d.win)
+	}
 	switch cfg.Weighting {
 	case WeightDiscounted:
 		d.gRef = infoest.DiscountedRefWeights(cfg.Tau)
@@ -387,7 +391,7 @@ func (d *Detector) interval() (bootstrap.Interval, error) {
 	if err := d.win.Validate(); err != nil {
 		return bootstrap.Interval{}, err
 	}
-	return d.est.Interval(d.scoreFn, d.gRef, d.gTest, d.cfg.Bootstrap)
+	return d.est.Interval(d.scoreFn, d.batchFn, d.gRef, d.gTest, d.cfg.Bootstrap)
 }
 
 // inspect scores the current full window. The inspection time is

@@ -43,8 +43,20 @@ type Statistic interface {
 	// rebuilds *win in place before every inspection, and the bootstrap
 	// calls the closure once per replicate with freshly drawn weights —
 	// the closure must re-read *win on every call. Calls come serially
-	// from the pushing goroutine.
+	// from the pushing goroutine. A statistic may add a batch kernel of
+	// the same closure by implementing BatchScorer.
 	Bind(win *infoest.Window) bootstrap.ScoreFunc
+}
+
+// BatchScorer is an optional Statistic extension: a statistic that
+// implements it gives the bootstrap a kernel that scores
+// bootstrap.Lanes replicates per call. The kernel must equal Bind's
+// closure bit for bit on every lane (it may decline a batch, which then
+// goes through the closure), and it follows the closure's rules: it
+// re-reads *win on every call, and calls come serially. The bootstrap
+// intervals, and so every output, are the same with or without it.
+type BatchScorer interface {
+	BindBatch(win *infoest.Window) bootstrap.BatchScoreFunc
 }
 
 // BagPreprocessor is an optional Statistic extension: a statistic that
@@ -123,6 +135,12 @@ func (klStatistic) Validate(Config) error { return nil }
 func (klStatistic) Bind(win *infoest.Window) bootstrap.ScoreFunc {
 	return func(gRef, gTest []float64) float64 {
 		return infoest.ScoreKL(*win, gRef, gTest)
+	}
+}
+
+func (klStatistic) BindBatch(win *infoest.Window) bootstrap.BatchScoreFunc {
+	return func(gRef, gTest *[bootstrap.Lanes][]float64, out *[bootstrap.Lanes]float64) bool {
+		return infoest.ScoreKL4(*win, gRef, gTest, out)
 	}
 }
 

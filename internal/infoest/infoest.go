@@ -254,6 +254,93 @@ func ScoreKL(w Window, gRef, gTest []float64) float64 {
 	return cross - (hRef+hTest)/2
 }
 
+// ScoreKL4 scores four weight assignments (lanes) of one window in a
+// single pass over w.LogD: out[l] = ScoreKL(w, gRef[l], gTest[l]), bit
+// for bit. Each lane keeps its own accumulators and adds its terms in
+// ScoreKL's order; the lanes only share the loads of the matrix, and
+// their four independent add chains overlap where ScoreKL's one chain
+// waits on every add.
+//
+// ScoreKL skips the terms of a zero weight, and the auto-entropy terms
+// of a weight >= 1. ScoreKL4 has no skips: when any lane holds a weight
+// outside (0, 1) it returns false without writing out, and the caller
+// scores the four lanes with ScoreKL.
+func ScoreKL4(w Window, gRef, gTest *[4][]float64, out *[4]float64) bool {
+	nRef, nTest := w.NRef, w.NTest
+	for l := range gRef {
+		if len(gRef[l]) != nRef || len(gTest[l]) != nTest {
+			panic(fmt.Sprintf("infoest: ScoreKL4 lane %d weight lengths %d/%d, want %d/%d", l, len(gRef[l]), len(gTest[l]), nRef, nTest))
+		}
+		if !interior(gRef[l]) || !interior(gTest[l]) {
+			return false
+		}
+	}
+	r0, r1, r2, r3 := gRef[0][:nRef], gRef[1][:nRef], gRef[2][:nRef], gRef[3][:nRef]
+	t0, t1, t2, t3 := gTest[0][:nTest], gTest[1][:nTest], gTest[2][:nTest], gTest[3][:nTest]
+	var c0, c1, c2, c3 float64
+	for i, a0 := range r0 {
+		a1, a2, a3 := r1[i], r2[i], r3[i]
+		row := w.LogD[i][nRef:][:nTest]
+		for j, d := range row {
+			c0 += a0 * t0[j] * d
+			c1 += a1 * t1[j] * d
+			c2 += a2 * t2[j] * d
+			c3 += a3 * t3[j] * d
+		}
+	}
+	var hr [4]float64
+	auto4(w.LogD[:nRef], 0, gRef, &hr)
+	var ht [4]float64
+	auto4(w.LogD[nRef:nRef+nTest], nRef, gTest, &ht)
+	out[0] = c0 - (hr[0]+ht[0])/2
+	out[1] = c1 - (hr[1]+ht[1])/2
+	out[2] = c2 - (hr[2]+ht[2])/2
+	out[3] = c3 - (hr[3]+ht[3])/2
+	return true
+}
+
+// interior reports whether every weight lies in the open interval (0, 1),
+// where ScoreKL skips no term.
+func interior(g []float64) bool {
+	for _, v := range g {
+		if !(v > 0 && v < 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// auto4 accumulates the four lanes' auto-entropy of one diagonal block of
+// a window: rows[i][off+j] is the log-distance between block items i and
+// j. Every weight must lie in (0, 1); the terms are added in ScoreKL's
+// order, skipping only the diagonal.
+func auto4(rows [][]float64, off int, g *[4][]float64, h *[4]float64) {
+	n := len(rows)
+	g0, g1, g2, g3 := g[0][:n], g[1][:n], g[2][:n], g[3][:n]
+	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
+	for i := 0; i < n; i++ {
+		s0 := g0[i] / (1 - g0[i])
+		s1 := g1[i] / (1 - g1[i])
+		s2 := g2[i] / (1 - g2[i])
+		s3 := g3[i] / (1 - g3[i])
+		row := rows[i][off : off+n]
+		for j, d := range row[:i] {
+			h0 += s0 * g0[j] * d
+			h1 += s1 * g1[j] * d
+			h2 += s2 * g2[j] * d
+			h3 += s3 * g3[j] * d
+		}
+		for j := i + 1; j < n; j++ {
+			d := row[j]
+			h0 += s0 * g0[j] * d
+			h1 += s1 * g1[j] * d
+			h2 += s2 * g2[j] * d
+			h3 += s3 * g3[j] * d
+		}
+	}
+	h[0], h[1], h[2], h[3] = h0, h1, h2, h3
+}
+
 // UniformWeights returns the equal-weight vector (1/n, …, 1/n).
 func UniformWeights(n int) []float64 {
 	w := make([]float64, n)
